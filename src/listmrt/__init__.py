@@ -40,9 +40,7 @@ from .le_core import (
     solve_le_closed_form,
 )
 from .le_gmm import (
-    Fixed,
     GmmResult,
-    MinPValueOverDrops,
     ModifiedLeResult,
     MomentSpec,
     ZTestResult,
@@ -113,7 +111,6 @@ __all__ = [
     "DomainError",
     "EstimationError",
     "FailurePolicy",
-    "Fixed",
     "GmmResult",
     "IdentificationError",
     "InferenceError",
@@ -124,7 +121,6 @@ __all__ = [
     "McDesign",
     "McRow",
     "Method",
-    "MinPValueOverDrops",
     "MleFit",
     "MleParams",
     "ModifiedLeResult",

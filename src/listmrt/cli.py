@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .errors import EstimationError, InferenceError, ListmrtError, LoadError
 from .le_core import (
     ControlDistribution,
@@ -61,8 +62,6 @@ from .le_core import (
     solve_le_closed_form,
 )
 from .le_gmm import (
-    Fixed,
-    MinPValueOverDrops,
     MomentSpec,
     control_mean_ztest,
     gmm_estimate,
@@ -151,15 +150,6 @@ def significance_marker(p_value: float) -> str:
 
 def _verdict(p_value: float) -> str:
     return "rejected" if p_value < 0.05 else "not rejected"
-
-
-def _pkg_version() -> str:
-    try:
-        from importlib import metadata
-
-        return metadata.version("listmrt")
-    except Exception:  # pragma: no cover - metadata missing in odd installs
-        return "0.0.0+local"
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +301,6 @@ _CONFIG_STR_KEYS = {
     "design",
     "mode",
     "bootstrap_estimator",
-    "drop_policy",
     "correlation_scale",
     "estimators",
 }
@@ -347,7 +336,6 @@ class RunConfig:
     direct_question: int = 1
     affirmative_is_truth_for: int = 0
     bootstrap_estimator: str = "closed_form"
-    drop_policy: str = "min_p"
     correlation_scale: str = "latent"
     group_share: float = 0.5
     rank_n_boot: int = 999
@@ -380,16 +368,6 @@ def parse_ordering(text: str) -> OrderingRule:
             f"ordering must look like '1:higher' or '2:lower', got {text!r}"
         )
     return OrderingRule(question=int(parts[0]), class1_higher=parts[1] == "higher")
-
-
-def _parse_drop_policy(text: str):
-    if text == "min_p":
-        return MinPValueOverDrops()
-    if text.startswith("fixed:"):
-        tail = text[len("fixed:"):]
-        if _INT_RE.match(tail):
-            return Fixed(index=int(tail))
-    raise LoadError(f"drop_policy must be 'min_p' or 'fixed:<index>', got {text!r}")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -469,7 +447,6 @@ def _validate_config(cfg: RunConfig) -> None:
         cfg.correlation_scale in ("latent", "realized"),
         f"correlation_scale must be latent or realized, got {cfg.correlation_scale!r}",
     )
-    _parse_drop_policy(cfg.drop_policy)
     _require(0.0 < cfg.group_share < 1.0, "group_share must be in (0, 1)")
     _require(cfg.rank_n_boot >= 19, "rank_n_boot must be at least 19")
 
@@ -514,10 +491,8 @@ def _validate_config(cfg: RunConfig) -> None:
     elif sub == "estimate-mrt":
         _require(cfg.input is not None, "estimate-mrt requires --input")
         _require(cfg.seed is not None, "estimate-mrt is stochastic (rank test): --seed is required")
-        if cfg.n_boot is None:
-            cfg.n_boot = 200
         _require(
-            cfg.n_boot == 0 or cfg.n_boot >= 100,
+            cfg.n_boot is None or cfg.n_boot == 0 or cfg.n_boot >= 100,
             "n_boot must be 0 (skip bootstrap) or at least 100",
         )
     elif sub == "montecarlo":
@@ -906,7 +881,7 @@ def _cmd_estimate_le(cfg: RunConfig) -> Report:
     )
     fit = Table(
         name="fit",
-        columns=["spec", "t_stat", "dof", "p_value", "marker", "converged", "dropped_index"],
+        columns=["spec", "t_stat", "dof", "p_value", "marker", "converged"],
         rows=[[
             spec.value,
             result.t_stat,
@@ -914,7 +889,6 @@ def _cmd_estimate_le(cfg: RunConfig) -> Report:
             result.p_value,
             significance_marker(result.p_value),
             result.converged,
-            result.dropped_index,
         ]],
     )
     metadata = _base_metadata(cfg)
@@ -938,14 +912,13 @@ def _cmd_test_le(cfg: RunConfig) -> Report:
         raise LoadError(
             "test-le bootstraps the modified-design check on this file: --seed is required"
         )
-    policy = _parse_drop_policy(cfg.drop_policy)
     spec_names = _SPEC_NAMES if cfg.spec == "all" else (cfg.spec,)
     diagnostics: dict = {}
     rows = []
     ridged = []
     for name in spec_names:
         spec = Spec(name)
-        result = j_test(sample, MomentSpec(j_count=cfg.j_count, spec=spec), drop_policy=policy)
+        result = j_test(sample, MomentSpec(j_count=cfg.j_count, spec=spec))
         if result.ridged:
             ridged.append(name)
         theta = result.theta_hat
@@ -1009,7 +982,6 @@ def _cmd_test_le(cfg: RunConfig) -> Report:
         "n": sample.n,
         "j_count": cfg.j_count,
         "specs": " ".join(spec_names),
-        "drop_policy": cfg.drop_policy,
     })
     return Report(
         subcommand="test-le",
@@ -1060,7 +1032,14 @@ def _mrt_vector(estimate, direct_question: int, affirmative: int) -> list:
 def _cmd_estimate_mrt(cfg: RunConfig) -> Report:
     kind, payload, z_names = _load_mrt(cfg.input, cfg.mode)
     if kind == "continuous":
+        if cfg.n_boot:
+            raise LoadError(
+                "n_boot does not apply to a continuous-covariate file: continuous mode "
+                "reports Hessian (observed-information) standard errors, not a bootstrap"
+            )
         return _estimate_mrt_continuous(cfg, payload, z_names)
+    if cfg.n_boot is None:
+        cfg.n_boot = 200
     return _estimate_mrt_discrete(cfg, payload, z_names)
 
 
@@ -1318,7 +1297,7 @@ def _cmd_montecarlo(cfg: RunConfig) -> Report:
 def _base_metadata(cfg: RunConfig) -> dict:
     return {
         "tool": "listmrt",
-        "version": _pkg_version(),
+        "version": __version__,
         "subcommand": cfg.subcommand,
         "seed": cfg.seed,
         "config_hash": _config_hash(cfg),

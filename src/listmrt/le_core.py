@@ -193,10 +193,16 @@ class LeSample:
         return int(self.y.size)
 
 
-def _forward_probs(params: LeParams, p0v: np.ndarray, j: int) -> np.ndarray:
-    """Raw-array core of le_forward: implied Pr(Y1 = 0..J+1) from Pr(Y0 = 0..J)."""
-    if params.spec is Spec.STRATEGIC:
-        d, p = params.delta, params.p
+def _forward_probs(
+    p0v: np.ndarray, j: int, spec: Spec, delta: float, p0: float, p1: float, p: float
+) -> np.ndarray:
+    """The forward model on raw scalars: implied Pr(Y1 = 0..J+1) from Pr(Y0 = 0..J).
+
+    le_forward, the GMM moments and the GMM objective all evaluate the model
+    here; p is read under the strategic spec only, p0 and p1 under the others.
+    """
+    d = delta
+    if spec is Spec.STRATEGIC:
         out = np.empty(j + 2)
         out[0] = (1.0 - d) * p0v[0]
         out[1:j] = (1.0 - d) * p0v[1:j] + d * p0v[: j - 1]
@@ -204,7 +210,6 @@ def _forward_probs(params: LeParams, p0v: np.ndarray, j: int) -> np.ndarray:
         out[j + 1] = d * (1.0 - p) * p0v[j]
         return out
 
-    d, p0, p1 = params.delta, params.p0, params.p1
     kappa = (1.0 - p1) / (1.0 - p0)
     floor = p0 / (j + 1)
     inner = np.empty(j + 2)
@@ -233,7 +238,9 @@ def le_forward(params: LeParams, control: ControlDistribution) -> TreatmentDistr
     """
     return TreatmentDistribution(
         j_count=control.j_count,
-        probs=_forward_probs(params, control.probs, control.j_count),
+        probs=_forward_probs(
+            control.probs, control.j_count, params.spec, params.delta, params.p0, params.p1, params.p
+        ),
     )
 
 

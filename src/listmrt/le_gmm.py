@@ -3,10 +3,11 @@
 The forward model maps the control response distribution to the treatment
 distribution, so each response level contributes one moment condition:
 the model-implied treatment probability minus its empirical counterpart.
-The J+2 moments sum to zero identically at any empirical input, so one
-redundant moment is dropped before estimation; the overidentification
-statistic T_n = n * min_theta psi_bar' W psi_bar is asymptotically
-chi-square with (moments used) - (free parameters) degrees of freedom.
+The J+2 moments sum to zero identically at any empirical input, so J+1 of
+them carry the information; the overidentification statistic
+T_n = n * min_theta psi_bar' W psi_bar is asymptotically chi-square with
+(J+1) - (free parameters) degrees of freedom, and it does not depend on which
+redundant moment is left out of the efficient weighting.
 
 Also houses the modified-design consistency check (direct question asked of
 the control group) and the auxiliary z-test that the control mean equals J/2.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -59,19 +60,14 @@ MODIFIED_LE_CAVEAT = (
 
 @dataclass(frozen=True)
 class MomentSpec:
-    """Which misreporting specification to estimate and which moment to drop."""
+    """Which misreporting specification to estimate."""
 
     j_count: int
     spec: Spec = Spec.UNRESTRICTED
-    dropped_index: int = 0
 
     def __post_init__(self) -> None:
         if self.j_count < 1:
             raise DomainError(f"j_count must be >= 1, got {self.j_count}")
-        if not 0 <= self.dropped_index <= self.j_count + 1:
-            raise DomainError(
-                f"dropped_index must lie in 0..{self.j_count + 1}, got {self.dropped_index}"
-            )
 
     @property
     def n_free(self) -> int:
@@ -83,24 +79,9 @@ class MomentSpec:
         return (self.j_count + 1) - self.n_free
 
 
-@dataclass(frozen=True)
-class Fixed:
-    """Drop policy: always remove the moment at `index`."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class MinPValueOverDrops:
-    """Drop policy: run every possible drop and report the smallest p-value."""
-
-
-DropPolicy = Fixed | MinPValueOverDrops
-
-
 @dataclass(frozen=True, eq=False)
 class GmmResult:
-    """Two-step GMM estimate and overidentification test for one drop choice."""
+    """Two-step GMM estimate and overidentification test."""
 
     theta_hat: LeParams
     t_stat: float
@@ -108,7 +89,6 @@ class GmmResult:
     p_value: float
     weight_matrix: np.ndarray
     converged: bool
-    dropped_index: int
     ridged: bool
     spec: MomentSpec
     n: int
@@ -152,8 +132,7 @@ def moment_values(
 ) -> np.ndarray:
     """All J+2 moment values (model-implied minus observed treatment probs).
 
-    The vector sums to zero identically, so only J+1 entries are informative;
-    callers drop `spec.dropped_index` before weighting.
+    The vector sums to zero identically, so only J+1 entries are informative.
     """
     _check_theta_spec(theta, spec.spec)
     p0hat, p1hat, _, _, _, j = _freqs(data)
@@ -161,7 +140,7 @@ def moment_values(
         raise DomainError(f"data has j_count={j}, spec expects {spec.j_count}")
     if theta.p0 >= 1.0:
         raise DomainError("p0 must be < 1")
-    return _forward_probs(theta, p0hat, j) - p1hat
+    return _forward_probs(p0hat, j, theta.spec, theta.delta, theta.p0, theta.p1, theta.p) - p1hat
 
 
 def _g0_matrix(theta: LeParams, j: int) -> np.ndarray:
@@ -200,51 +179,20 @@ def moment_covariance(
     return g0 @ om0 @ g0.T / c0 + om1 / c1
 
 
-def _unpack(vec: np.ndarray, spec: Spec) -> LeParams:
+def _scalars(vec: np.ndarray, spec: Spec) -> tuple:
+    """(delta, p0, p1, p) of a packed parameter vector under `spec`."""
     if spec is Spec.UNRESTRICTED:
-        return LeParams.unrestricted(vec[0], vec[1], vec[2])
+        return vec[0], vec[1], vec[2], 0.0
     if spec is Spec.EQUAL_P:
-        return LeParams.equal_p(vec[0], vec[1])
+        return vec[0], vec[1], vec[1], 0.0
     if spec is Spec.NO_MISREPORT:
-        return LeParams.no_misreport(vec[0])
-    return LeParams.strategic(vec[0], vec[1])
+        return vec[0], 0.0, 0.0, 0.0
+    return vec[0], 0.0, 0.0, vec[1]
 
 
-def _pack(theta: LeParams) -> np.ndarray:
-    if theta.spec is Spec.UNRESTRICTED:
-        return np.array([theta.delta, theta.p0, theta.p1])
-    if theta.spec is Spec.EQUAL_P:
-        return np.array([theta.delta, theta.p0])
-    if theta.spec is Spec.NO_MISREPORT:
-        return np.array([theta.delta])
-    return np.array([theta.delta, theta.p])
-
-
-def _forward_raw(vec: np.ndarray, p0hat: np.ndarray, j: int, spec: Spec) -> np.ndarray:
-    """Model-implied treatment probabilities straight from a parameter vector."""
-    if spec is Spec.STRATEGIC:
-        d, p = vec[0], vec[1]
-        out = np.empty(j + 2)
-        out[0] = (1.0 - d) * p0hat[0]
-        out[1:j] = (1.0 - d) * p0hat[1:j] + d * p0hat[: j - 1]
-        out[j] = (1.0 - d) * p0hat[j] + d * p0hat[j - 1] + d * p * p0hat[j]
-        out[j + 1] = d * (1.0 - p) * p0hat[j]
-        return out
-    d = vec[0]
-    p0 = vec[1] if spec is not Spec.NO_MISREPORT else 0.0
-    if spec is Spec.UNRESTRICTED:
-        p1 = vec[2]
-    elif spec is Spec.EQUAL_P:
-        p1 = vec[1]
-    else:
-        p1 = 0.0
-    kappa = (1.0 - p1) / (1.0 - p0)
-    floor = p0 / (j + 1)
-    inner = np.empty(j + 2)
-    inner[0] = (1.0 - d) * (p0hat[0] - floor)
-    inner[1 : j + 1] = d * p0hat[:j] + (1.0 - d) * p0hat[1:] - floor
-    inner[j + 1] = d * (p0hat[j] - floor)
-    return kappa * inner + p1 / (j + 2)
+def _unpack(vec: np.ndarray, spec: Spec) -> LeParams:
+    delta, p0, p1, p = _scalars(vec, spec)
+    return LeParams(delta=delta, p0=p0, p1=p1, spec=spec, p=p)
 
 
 def _starts(spec: Spec, bounds) -> list[np.ndarray]:
@@ -281,16 +229,17 @@ def gmm_estimate(
 ) -> GmmResult:
     """Two-step GMM fit of the forward model with an overidentification test.
 
-    Step 1 minimizes the identity-weighted moment norm from a deterministic
-    lattice of starting points; step 2 re-minimizes under the inverse of the
-    moment covariance evaluated at the step-1 solution (ridge-regularized and
-    flagged when near-singular). T_n is n times the step-2 minimum and is
-    referred to the chi-square upper tail with dof = (J+1) - free parameters.
+    Step 1 minimizes the identity-weighted norm of all J+2 moments from a
+    deterministic lattice of starting points; step 2 re-minimizes under the
+    inverse of the moment covariance evaluated at the step-1 solution
+    (ridge-regularized and flagged when near-singular). T_n is n times the
+    step-2 minimum and is referred to the chi-square upper tail with
+    dof = (J+1) - free parameters.
 
     Args:
       data: an LeSample, or (ControlDistribution, TreatmentDistribution,
         c0, c1) population/frequency input.
-      spec: specification and dropped-moment choice.
+      spec: misreporting specification and item count.
       n_for_stat: sample size used to scale T_n when `data` is the population
         tuple (defaults to 1; ignored for LeSample input).
     """
@@ -303,41 +252,36 @@ def gmm_estimate(
         raise DomainError(f"data has j_count={j}, spec expects {spec.j_count}")
     if n is None:
         n = 1 if n_for_stat is None else int(n_for_stat)
-    keep = np.ones(j + 2, dtype=bool)
-    keep[spec.dropped_index] = False
+    kind = spec.spec
 
-    def objective_factory(w: np.ndarray | None):
-        if w is None:
+    def psi(vec: np.ndarray) -> np.ndarray:
+        return _forward_probs(p0hat, j, kind, *_scalars(vec, kind)) - p1hat
 
-            def obj(vec: np.ndarray) -> float:
-                psi = (_forward_raw(vec, p0hat, j, spec.spec) - p1hat)[keep]
-                return float(psi @ psi)
+    def identity_objective(vec: np.ndarray) -> float:
+        r = psi(vec)
+        return float(r @ r)
 
-        else:
-
-            def obj(vec: np.ndarray) -> float:
-                psi = (_forward_raw(vec, p0hat, j, spec.spec) - p1hat)[keep]
-                return float(psi @ w @ psi)
-
-        return obj
-
-    n_par = spec.n_free
-    bounds = [(0.0, _PARAM_HI)] * n_par
-    starts = _starts(spec.spec, bounds)
-
+    bounds = [(0.0, _PARAM_HI)] * spec.n_free
+    starts = _starts(kind, bounds)
     x1, _, conv1 = multistart_nelder_mead(
-        objective_factory(None), starts, bounds, xatol=1e-7, fatol=1e-13
+        identity_objective, starts, bounds, xatol=1e-7, fatol=1e-13
     )
-    theta1 = _unpack(x1, spec.spec)
+    theta1 = _unpack(x1, kind)
 
+    # The moments sum to zero at every theta and so does each row of their
+    # covariance, so psi_K' inv(Sigma_KK) psi_K is the same function of theta
+    # for every set K of J+1 moments: dropping moment 0 loses nothing.
     sigma = moment_covariance(theta1, p0hat, p1hat, c0, c1)
-    sigma_kept = sigma[np.ix_(keep, keep)]
-    w, ridged = _weight_from_cov(sigma_kept)
+    w, ridged = _weight_from_cov(sigma[1:, 1:])
+
+    def weighted_objective(vec: np.ndarray) -> float:
+        r = psi(vec)[1:]
+        return float(r @ w @ r)
 
     x2, f2, conv2 = multistart_nelder_mead(
-        objective_factory(w), starts + [x1], bounds, xatol=1e-7, fatol=1e-13
+        weighted_objective, starts + [x1], bounds, xatol=1e-7, fatol=1e-13
     )
-    theta2 = _unpack(x2, spec.spec)
+    theta2 = _unpack(x2, kind)
 
     t_stat = max(0.0, n * f2)
     dof = spec.dof
@@ -349,7 +293,6 @@ def gmm_estimate(
         p_value=p_value,
         weight_matrix=w,
         converged=conv1 and conv2,
-        dropped_index=spec.dropped_index,
         ridged=ridged,
         spec=spec,
         n=n,
@@ -359,23 +302,14 @@ def gmm_estimate(
 def j_test(
     data: LeSample | PopulationInput,
     spec: MomentSpec,
-    drop_policy: DropPolicy = MinPValueOverDrops(),
     n_for_stat: int | None = None,
 ) -> GmmResult:
-    """Overidentification test under a drop policy.
+    """Overidentification test of the forward model under `spec`.
 
-    MinPValueOverDrops (the default, the conservative reporting convention)
-    runs one estimation per possible dropped moment and returns the run with
-    the smallest p-value; ties break toward the lowest index. Fixed(k) runs a
-    single estimation with moment k dropped.
+    The test is the two-step fit of gmm_estimate; its T_n does not depend on
+    which redundant moment the efficient weighting leaves out.
     """
-    if isinstance(drop_policy, Fixed):
-        return gmm_estimate(data, replace(spec, dropped_index=drop_policy.index), n_for_stat)
-    results = [
-        gmm_estimate(data, replace(spec, dropped_index=k), n_for_stat)
-        for k in range(spec.j_count + 2)
-    ]
-    return min(results, key=lambda r: (r.p_value, r.dropped_index))
+    return gmm_estimate(data, spec, n_for_stat)
 
 
 @dataclass(frozen=True)

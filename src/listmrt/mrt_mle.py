@@ -389,7 +389,7 @@ def mle_fit(
     return MleFit(
         params=params,
         loglik=-best_f,
-        converged=True,
+        converged=bool(best.success),
         se=se,
         small_sample=sample.n < 100,
     )

@@ -13,7 +13,7 @@ from listmrt.le_core import (
     LeSample,
     simulate_le,
 )
-from listmrt.le_gmm import Fixed, MomentSpec, Spec, j_test
+from listmrt.le_gmm import MomentSpec, Spec, j_test
 
 
 def observed_control(c, p0: float) -> np.ndarray:
@@ -68,10 +68,10 @@ def violating_le_sample(n: int, seed) -> LeSample:
 
 
 def fit_null_rep(args) -> tuple[float, float, float]:
-    """Monte Carlo worker: simulate under the null, fit, test (fixed drop 0)."""
+    """Monte Carlo worker: simulate under the null, fit, test."""
     n, seed = args
     sample = null_le_sample(n, seed)
-    res = j_test(sample, MomentSpec(j_count=NULL_J), drop_policy=Fixed(0))
+    res = j_test(sample, MomentSpec(j_count=NULL_J))
     return res.t_stat, res.p_value, res.theta_hat.delta
 
 
@@ -79,7 +79,7 @@ def fit_power_rep(args) -> float:
     """Monte Carlo worker: simulate under the violating DGP, return p-value."""
     n, seed = args
     sample = violating_le_sample(n, seed)
-    res = j_test(sample, MomentSpec(j_count=4), drop_policy=Fixed(0))
+    res = j_test(sample, MomentSpec(j_count=4))
     return res.p_value
 
 

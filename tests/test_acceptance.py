@@ -36,7 +36,7 @@ from listmrt.le_core import (
     mean_difference_analytic,
     solve_le_closed_form,
 )
-from listmrt.le_gmm import Fixed, MomentSpec, j_test
+from listmrt.le_gmm import MomentSpec, j_test
 from listmrt.mrt_core import (
     Method,
     MrtEstimate,
@@ -124,12 +124,10 @@ def test_criterion_03_j_test_size():
     t_stats = np.array([r[0] for r in out])
     p_values = np.array([r[1] for r in out])
     rejection = float(np.mean(p_values < 0.05))
-    dof = j_test(
-        null_le_sample(2000, 20_000), MomentSpec(j_count=NULL_J), drop_policy=Fixed(0)
-    ).dof
+    dof = j_test(null_le_sample(2000, 20_000), MomentSpec(j_count=NULL_J)).dof
     ks_p = float(stats.kstest(t_stats, "chi2", args=(dof,)).pvalue)
     ok = 0.03 <= rejection <= 0.07 and ks_p > 0.01
-    report(3, ok, f"null DGP, n=2000, 1000 reps, fixed drop: rejection rate "
+    report(3, ok, f"null DGP, n=2000, 1000 reps: rejection rate "
                   f"{rejection:.4f} (window [0.03, 0.07]); KS of T_n vs chi2({dof}) "
                   f"p = {ks_p:.4f} (needs > 0.01)")
     assert 0.03 <= rejection <= 0.07

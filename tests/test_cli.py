@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import listmrt
 from listmrt.cli import (
     MARKER_LEGEND,
     Report,
@@ -466,15 +467,18 @@ class TestTestLeCli:
             "control_mean_equals_half_j"
         ]
 
-    def test_fixed_drop_policy_from_config(self, null_le_file, tmp_path):
+    def test_drop_policy_config_key_rejected(self, null_le_file, tmp_path, capsys):
         cfg_file = write(tmp_path / "run.cfg", "drop_policy = fixed:0\n")
+        assert run_cli("test-le", "--input", null_le_file, "--j-count", 4,
+                       "--seed", 5, "--config", cfg_file) == 1
+        assert "unknown key 'drop_policy'" in capsys.readouterr().err
+
+    def test_report_version_is_package_version(self, null_le_file, tmp_path):
         report_path = tmp_path / "report.json"
         assert run_cli("test-le", "--input", null_le_file, "--j-count", 4,
-                       "--seed", 5, "--config", cfg_file,
+                       "--spec", "no_misreport", "--seed", 5,
                        "--format", "json", "--output", report_path) == 0
-        report = load_json_report(report_path)
-        assert report["metadata"]["drop_policy"] == "fixed:0"
-        assert len(table(report, "tests")["rows"]) == 4
+        assert load_json_report(report_path)["metadata"]["version"] == listmrt.__version__
 
     def test_rerun_with_same_seed_reproduces_tables(self, null_le_file, tmp_path):
         reports = []
@@ -653,6 +657,14 @@ class TestEstimateMrtCli:
         names = [row[0] for row in rows]
         assert "rho[intercept]" in names and "rho[z]" in names
         assert len(rows) == 14
+
+    def test_continuous_file_rejects_bootstrap(self, tmp_path):
+        data = tmp_path / "cont.csv"
+        assert run_cli("simulate", "--design", "mrt-continuous", "--n", 300,
+                       "--seed", 44, "--output", data) == 0
+        cfg = resolve("estimate-mrt", "--input", data, "--seed", 1, "--n-boot", 200)
+        with pytest.raises(LoadError, match="continuous mode reports Hessian"):
+            run_subcommand(cfg)
 
     def test_continuous_without_intercept_uses_plain_labels(self, tmp_path):
         data = tmp_path / "cont.csv"

@@ -24,14 +24,13 @@ from listmrt.le_core import (
     simulate_modified_le,
 )
 from listmrt.le_gmm import (
-    Fixed,
-    MinPValueOverDrops,
     MomentSpec,
     control_mean_ztest,
     gmm_estimate,
     j_test,
     mean_difference_empirical,
     modified_le_check,
+    moment_covariance,
     moment_values,
 )
 
@@ -207,21 +206,31 @@ class TestJTest:
     def test_population_truth_not_rejected_under_every_drop(self):
         params = LeParams.unrestricted(0.3, 0.1, 0.2)
         pop = population_input(params, C_SKEW5)
-        res = j_test(pop, MomentSpec(j_count=4), MinPValueOverDrops(), n_for_stat=10_000)
+        res = j_test(pop, MomentSpec(j_count=4), n_for_stat=10_000)
         assert res.p_value > 0.999
-        assert 0 <= res.dropped_index <= 5
 
-    def test_fixed_policy_matches_direct_estimate(self):
+    def test_weighted_statistic_same_for_every_dropped_moment(self):
+        # n * psi_K' inv(Sigma_KK) psi_K over the J+2 sets K of J+1 moments:
+        # the moments and the rows of their covariance sum to zero, so the
+        # redundant moment left out cannot change the statistic.
         sample = null_le_sample(2000, 11)
-        spec = MomentSpec(j_count=NULL_J)
-        via_policy = j_test(sample, spec, Fixed(2))
-        direct = gmm_estimate(sample, MomentSpec(j_count=NULL_J, dropped_index=2))
-        assert via_policy.t_stat == direct.t_stat
-        assert via_policy.dropped_index == 2
+        control, treatment, c0, c1 = empirical_distributions(sample)
+        for kind in Spec:
+            spec = MomentSpec(j_count=NULL_J, spec=kind)
+            theta = gmm_estimate(sample, spec).theta_hat
+            psi = moment_values(sample, theta, spec)
+            sigma = moment_covariance(theta, control.probs, treatment.probs, c0, c1)
+            stats = []
+            for k in range(NULL_J + 2):
+                keep = np.arange(NULL_J + 2) != k
+                psi_k = psi[keep]
+                stats.append(sample.n * psi_k @ np.linalg.solve(sigma[np.ix_(keep, keep)], psi_k))
+            assert stats[0] > 0.0, kind
+            np.testing.assert_allclose(stats, stats[0], rtol=1e-9, atol=0.0, err_msg=str(kind))
 
     def test_size_quick_check(self):
         rejections = sum(
-            j_test(null_le_sample(2000, 9000 + s), MomentSpec(j_count=NULL_J), Fixed(0)).p_value
+            j_test(null_le_sample(2000, 9000 + s), MomentSpec(j_count=NULL_J)).p_value
             < 0.05
             for s in range(40)
         )
@@ -229,7 +238,7 @@ class TestJTest:
 
     def test_power_quick_check(self):
         rejections = sum(
-            j_test(violating_le_sample(8000, 700 + s), MomentSpec(j_count=4), Fixed(0)).p_value
+            j_test(violating_le_sample(8000, 700 + s), MomentSpec(j_count=4)).p_value
             < 0.05
             for s in range(10)
         )

@@ -1,11 +1,15 @@
 """Tests for the logistic-link maximum-likelihood estimator."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.special import expit
 
+from listmrt import mrt_mle
+from listmrt.cli import main
 from listmrt.errors import DomainError
 from listmrt.mrt_core import OrderingRule
 from listmrt.mrt_mle import (
@@ -173,7 +177,41 @@ class TestScore:
                 assert abs(log_likelihood(p, s) - log_likelihood(swap_labels(p), s)) < 1e-10
 
 
+class _WinnerFails:
+    """Stand-in for scipy.optimize in mrt_mle: the first start converges but
+    is pushed out of the lead, and every later start reports failure."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def minimize(self, *args, **kwargs):
+        res = optimize.minimize(*args, **kwargs)
+        self.calls += 1
+        if self.calls == 1:
+            res.success, res.fun = True, res.fun + 1.0
+        else:
+            res.success = False
+        return res
+
+
 class TestMleFit:
+    def test_converged_follows_the_winning_start(self, monkeypatch, tmp_path):
+        s = simulate_slope_only(400, seed=5)
+        monkeypatch.setattr(mrt_mle, "optimize", _WinnerFails())
+        fit = mle_fit(s, OrderingRule(question=1, class1_higher=True))
+        assert fit.converged is False
+
+        data = tmp_path / "cont.csv"
+        assert main(["simulate", "--design", "mrt-continuous", "--n", "400",
+                     "--seed", "5", "--output", str(data)]) == 0
+        report_path = tmp_path / "report.json"
+        monkeypatch.setattr(mrt_mle, "optimize", _WinnerFails())
+        assert main(["estimate-mrt", "--input", str(data), "--seed", "1",
+                     "--format", "json", "--output", str(report_path)]) == 0
+        with open(report_path, encoding="utf-8") as handle:
+            report = json.load(handle)
+        assert report["diagnostics"]["not_converged"] == ["mle optimizer did not converge"]
+
     def test_recovers_truth_single_draw(self):
         s = simulate_slope_only(2000, seed=17)
         fit = mle_fit(s, OrderingRule(question=1, class1_higher=True), include_intercept=False)
