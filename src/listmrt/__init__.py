@@ -83,10 +83,8 @@ from .resampling import (
     DesignKind,
     Direction,
     DiscreteTruth,
-    FailurePolicy,
     McDesign,
     McRow,
-    Stratify,
     bootstrap,
     one_sided_pvalue,
     run_monte_carlo,
@@ -110,7 +108,6 @@ __all__ = [
     "DiscreteTruth",
     "DomainError",
     "EstimationError",
-    "FailurePolicy",
     "GmmResult",
     "IdentificationError",
     "InferenceError",
@@ -133,7 +130,6 @@ __all__ = [
     "OrderingRule",
     "RankTestResult",
     "Spec",
-    "Stratify",
     "TreatmentDistribution",
     "Unidentified",
     "ZTestResult",

@@ -45,6 +45,7 @@ import math
 import os
 import re
 import sys
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +88,6 @@ from .resampling import (
     DesignKind,
     Direction,
     McDesign,
-    Stratify,
     bootstrap,
     one_sided_pvalue,
     run_monte_carlo,
@@ -278,81 +278,71 @@ def _atomic_write(path: str, content: str) -> None:
 # Configuration
 
 
-_CONFIG_INT_KEYS = {
-    "j_count",
-    "n_boot",
-    "seed",
-    "n",
-    "reps",
-    "jobs",
-    "x2_fix",
-    "direct_question",
-    "affirmative_is_truth_for",
-    "rank_n_boot",
-}
-_CONFIG_FLOAT_KEYS = {"sigma", "group_share"}
-_CONFIG_BOOL_KEYS = {"include_intercept"}
-_CONFIG_STR_KEYS = {
-    "input",
-    "output",
-    "format",
-    "spec",
-    "ordering",
-    "design",
-    "mode",
-    "bootstrap_estimator",
-    "correlation_scale",
-    "estimators",
-}
-_CONFIG_KEYS = _CONFIG_INT_KEYS | _CONFIG_FLOAT_KEYS | _CONFIG_BOOL_KEYS | _CONFIG_STR_KEYS
+def _key(default, help: str, *, flag: bool = False, choices: tuple = ()):
+    """Declare one configuration key as a RunConfig field.
+
+    The field name is the key; its type hint fixes how a config-file value is
+    parsed; a `flag` key may also be set by a ``--name`` flag on the
+    subcommands that list it in build_parser (the others are file-only); a
+    nonempty `choices` lists the only allowed values.
+    """
+    return field(default=default, metadata={"help": help, "flag": flag, "choices": choices})
 
 
 @dataclass
 class RunConfig:
     """Fully resolved parameters of one subcommand invocation.
 
-    Built by merging defaults, the optional ``--config`` file, and explicit
-    command-line flags (highest precedence). `config_hash` covers every
-    semantic field, so two runs with equal hashes and seeds produce
-    identical tables.
+    Every field after `subcommand` is one configuration key, declared only
+    here: the config-file parser, the command-line flags and the allowed-value
+    checks are derived from these fields. Values merge defaults, the optional
+    ``--config`` file, and explicit command-line flags (highest precedence).
+    `config_hash` covers every semantic field, so two runs with equal hashes
+    and seeds produce identical tables.
     """
 
     subcommand: str
-    input: str | None = None
-    output: str | None = None
-    fmt: str = "text"
-    j_count: int | None = None
-    spec: str | None = None
-    ordering: OrderingRule = field(default_factory=OrderingRule)
-    n_boot: int | None = None
-    seed: int | None = None
-    design: str | None = None
-    n: int | None = None
-    reps: int | None = None
-    sigma: float = 0.0
-    mode: str = "auto"
-    jobs: int = 1
-    x2_fix: int = 1
-    direct_question: int = 1
-    affirmative_is_truth_for: int = 0
-    bootstrap_estimator: str = "closed_form"
-    correlation_scale: str = "latent"
-    group_share: float = 0.5
-    rank_n_boot: int = 999
-    include_intercept: bool = True
-    estimators: str | None = None
+    input: str | None = _key(None, "input CSV path", flag=True)
+    output: str | None = _key(None, "output path (report, or data CSV for simulate)", flag=True)
+    format: str = _key("text", "report format (default text)", flag=True, choices=tuple(_RENDERERS))
+    j_count: int | None = _key(None, "number of nonsensitive items J", flag=True)
+    spec: str | None = _key(None, "misreporting specification", flag=True)
+    ordering: OrderingRule = _key(OrderingRule(), "latent-class ordering rule, e.g. 1:higher", flag=True)
+    n_boot: int | None = _key(None, "bootstrap replications", flag=True)
+    seed: int | None = _key(None, "RNG seed (required for stochastic runs)", flag=True)
+    design: str | None = _key(None, "design name", flag=True)
+    n: int | None = _key(None, "sample size", flag=True)
+    reps: int | None = _key(None, "replications", flag=True)
+    sigma: float = _key(0.0, "within-cell response correlation parameter", flag=True)
+    mode: str = _key("auto", "estimate-mrt covariate mode", choices=("auto", "discrete", "continuous"))
+    jobs: int = _key(1, "montecarlo worker processes")
+    x2_fix: int = _key(1, "value of X2 that the MRT decomposition conditions on", choices=(0, 1))
+    direct_question: int = _key(1, "which question is the direct one", choices=(1, 2, 3))
+    affirmative_is_truth_for: int = _key(0, "latent class a direct yes is truthful for", choices=(0, 1))
+    bootstrap_estimator: str = _key("closed_form", "MRT bootstrap estimator", choices=("closed_form", "extreme"))
+    correlation_scale: str = _key("latent", "scale of sigma", choices=("latent", "realized"))
+    group_share: float = _key(0.5, "treatment share of simulated list experiments")
+    rank_n_boot: int = _key(999, "bootstrap draws of the estimate-mrt rank test")
+    include_intercept: bool = _key(True, "fit intercepts in the continuous-covariate MLE")
+    estimators: str | None = _key(None, "comma-separated montecarlo estimators")
 
     def semantic_dict(self) -> dict:
-        skip = {"output", "fmt"}
         out = {}
         for f in dataclasses.fields(self):
-            if f.name in skip:
+            if f.name in ("output", "format"):
                 continue
             value = getattr(self, f.name)
-            if isinstance(value, OrderingRule):
-                value = f"{value.question}:{'higher' if value.class1_higher else 'lower'}"
-            out[f.name] = value
+            out[f.name] = format_ordering(value) if isinstance(value, OrderingRule) else value
         return out
+
+
+_KEYS = {f.name: f for f in dataclasses.fields(RunConfig) if f.name != "subcommand"}
+# The value type of each key, with ``| None`` removed: int, float, bool, str or OrderingRule.
+_TYPES = {
+    name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in typing.get_type_hints(RunConfig).items()
+    if name in _KEYS
+}
 
 
 def _config_hash(cfg: RunConfig) -> str:
@@ -370,6 +360,32 @@ def parse_ordering(text: str) -> OrderingRule:
     return OrderingRule(question=int(parts[0]), class1_higher=parts[1] == "higher")
 
 
+def format_ordering(rule: OrderingRule) -> str:
+    """The ``question:direction`` text of a rule; the inverse of parse_ordering."""
+    return f"{rule.question}:{'higher' if rule.class1_higher else 'lower'}"
+
+
+def _parse_value(key: str, text: str):
+    """A key's value from its text, typed by the RunConfig field."""
+    kind = _TYPES[key]
+    if kind is int:
+        if not _INT_RE.match(text):
+            raise LoadError(f"{key} must be an integer, got {text!r}")
+        return int(text)
+    if kind is float:
+        try:
+            return float(text)
+        except ValueError:
+            raise LoadError(f"{key} must be a number, got {text!r}") from None
+    if kind is bool:
+        if text not in ("true", "false"):
+            raise LoadError(f"{key} must be true or false")
+        return text == "true"
+    if kind is OrderingRule:
+        return parse_ordering(text)
+    return text
+
+
 def _parse_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -385,44 +401,25 @@ def _parse_config_file(path: str) -> dict:
             raise LoadError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise LoadError(f"config line {lineno}: unknown key {key!r}")
-        if key in _CONFIG_INT_KEYS:
-            if not _INT_RE.match(value):
-                raise LoadError(f"config line {lineno}: {key} must be an integer, got {value!r}")
-            values[key] = int(value)
-        elif key in _CONFIG_FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise LoadError(
-                    f"config line {lineno}: {key} must be a number, got {value!r}"
-                ) from None
-        elif key in _CONFIG_BOOL_KEYS:
-            if value not in ("true", "false"):
-                raise LoadError(f"config line {lineno}: {key} must be true or false")
-            values[key] = value == "true"
-        else:
-            values[key] = value
+        try:
+            values[key] = _parse_value(key, value)
+        except ListmrtError as exc:
+            raise LoadError(f"config line {lineno}: {exc}") from None
     return values
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    file_values = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    flag_values = {
-        key: getattr(args, key)
-        for key in _CONFIG_KEYS
-        if getattr(args, key, None) is not None
-    }
-    merged = {**file_values, **flag_values}
-    for key, value in merged.items():
-        if key == "format":
-            cfg.fmt = value
-        elif key == "ordering":
-            cfg.ordering = parse_ordering(value)
-        else:
-            setattr(cfg, key, value)
+    values = _parse_config_file(args.config) if args.config else {}
+    for key in _KEYS:
+        flag_value = getattr(args, key, None)
+        if flag_value is not None:
+            # argparse already typed int and float flags; the rest arrive as text.
+            if isinstance(flag_value, str):
+                flag_value = _parse_value(key, flag_value)
+            values[key] = flag_value
+    cfg = RunConfig(subcommand=args.subcommand, **values)
     _validate_config(cfg)
     return cfg
 
@@ -433,20 +430,13 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    _require(cfg.fmt in _RENDERERS, f"format must be one of json/text/csv, got {cfg.fmt!r}")
-    _require(cfg.mode in ("auto", "discrete", "continuous"), f"mode must be auto/discrete/continuous, got {cfg.mode!r}")
+    for key, f in _KEYS.items():
+        choices, value = f.metadata["choices"], getattr(cfg, key)
+        _require(
+            not choices or value in choices,
+            f"{key} must be one of {'/'.join(map(str, choices))}, got {value!r}",
+        )
     _require(cfg.jobs >= 1, "jobs must be >= 1")
-    _require(cfg.x2_fix in (0, 1), "x2_fix must be 0 or 1")
-    _require(cfg.direct_question in (1, 2, 3), "direct_question must be 1, 2, or 3")
-    _require(cfg.affirmative_is_truth_for in (0, 1), "affirmative_is_truth_for must be 0 or 1")
-    _require(
-        cfg.bootstrap_estimator in ("closed_form", "extreme"),
-        f"bootstrap_estimator must be closed_form or extreme, got {cfg.bootstrap_estimator!r}",
-    )
-    _require(
-        cfg.correlation_scale in ("latent", "realized"),
-        f"correlation_scale must be latent or realized, got {cfg.correlation_scale!r}",
-    )
     _require(0.0 < cfg.group_share < 1.0, "group_share must be in (0, 1)")
     _require(cfg.rank_n_boot >= 19, "rank_n_boot must be at least 19")
 
@@ -538,25 +528,28 @@ def load_le_csv(path: str, j_count: int) -> LeSample:
     """Load and validate list-experiment records.
 
     Required columns: y (integer count), t (0/1 group). Optional: x_direct
-    (0/1 on control rows, blank or -1 on treatment rows) and any number of
-    z_* integer covariate columns. Defective rows are rejected with their
-    1-based data-row number; rows are never imputed.
+    (0/1 on control rows, blank or -1 on treatment rows). Covariate columns
+    (z, z_*) are rejected, since the list-experiment tests pool every record.
+    Defective rows are rejected with their 1-based data-row number; rows are
+    never imputed.
     """
     header, rows = _read_csv(path)
     for required in ("y", "t"):
         if required not in header:
             raise LoadError(f"{path}: missing required column {required!r}")
-    z_names = [name for name in header if name == "z" or name.startswith("z_")]
-    known = {"y", "t", "x_direct", *z_names}
-    unexpected = [name for name in header if name not in known]
-    if unexpected:
-        raise LoadError(f"{path}: unexpected column {unexpected[0]!r}")
+    for name in header:
+        if name == "z" or name.startswith("z_"):
+            raise LoadError(
+                f"{path}: covariate column {name!r} is not supported for list experiments"
+            )
+        if name not in ("y", "t", "x_direct"):
+            raise LoadError(f"{path}: unexpected column {name!r}")
     if not rows:
         raise LoadError(f"{path}: no data rows")
     idx = {name: header.index(name) for name in header}
     has_direct = "x_direct" in header
 
-    y_values, t_values, direct_values, z_values = [], [], [], []
+    y_values, t_values, direct_values = [], [], []
     for rownum, row in enumerate(rows, start=1):
         y = _parse_int_cell(_cell(row, idx["y"], "y", rownum), "y", rownum)
         t = _parse_int_cell(_cell(row, idx["t"], "t", rownum), "t", rownum)
@@ -581,9 +574,6 @@ def load_le_csv(path: str, j_count: int) -> LeSample:
                 if direct not in (0, 1):
                     raise LoadError(f"row {rownum}: x_direct must be 0 or 1, got {direct}")
                 direct_values.append(direct)
-        z_values.append(
-            [_parse_int_cell(_cell(row, idx[name], name, rownum), name, rownum) for name in z_names]
-        )
         y_values.append(y)
         t_values.append(t)
 
@@ -596,7 +586,6 @@ def load_le_csv(path: str, j_count: int) -> LeSample:
         j_count=j_count,
         y=np.array(y_values, dtype=np.int64),
         t=t_arr,
-        z=np.array(z_values, dtype=np.int64) if z_names else None,
         x_direct=np.array(direct_values, dtype=np.int64) if has_direct else None,
     )
 
@@ -839,7 +828,7 @@ def _cmd_estimate_le(cfg: RunConfig) -> Report:
             boot = bootstrap(
                 sample,
                 statistic,
-                BootstrapConfig(n_reps=cfg.n_boot, seed=cfg.seed, stratify_by=Stratify.GROUP),
+                BootstrapConfig(n_reps=cfg.n_boot, seed=cfg.seed),
             )
             if boot.n_failed:
                 diagnostics["dropped_replicates"] = [
@@ -1081,7 +1070,7 @@ def _estimate_mrt_continuous(cfg: RunConfig, sample: MrtContinuousSample, z_name
         "mode": "continuous",
         "loglik": fit.loglik,
         "include_intercept": cfg.include_intercept,
-        "ordering": f"{cfg.ordering.question}:{'higher' if cfg.ordering.class1_higher else 'lower'}",
+        "ordering": format_ordering(cfg.ordering),
     })
     return Report(
         subcommand="estimate-mrt",
@@ -1212,7 +1201,7 @@ def _estimate_mrt_discrete(cfg: RunConfig, cells: list, z_names: list) -> Report
         "affirmative_is_truth_for": cfg.affirmative_is_truth_for,
         "bootstrap_estimator": chosen,
         "n_boot": cfg.n_boot,
-        "ordering": f"{cfg.ordering.question}:{'higher' if cfg.ordering.class1_higher else 'lower'}",
+        "ordering": format_ordering(cfg.ordering),
     })
     if z_names:
         partition = [
@@ -1320,24 +1309,20 @@ def run_subcommand(cfg: RunConfig) -> Report:
 
 
 def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
-    flags = {
-        "input": dict(help="input CSV path"),
-        "output": dict(help="output path (report, or data CSV for simulate)"),
-        "format": dict(choices=("json", "text", "csv"), help="report format (default text)"),
-        "config": dict(help="flat key=value configuration file; flags override"),
-        "j-count": dict(type=int, dest="j_count", help="number of nonsensitive items J"),
-        "spec": dict(help="misreporting specification"),
-        "ordering": dict(help="latent-class ordering rule, e.g. 1:higher"),
-        "n-boot": dict(type=int, dest="n_boot", help="bootstrap replications"),
-        "seed": dict(type=int, help="RNG seed (required for stochastic runs)"),
-        "design": dict(help="design name"),
-        "n": dict(type=int, help="sample size"),
-        "reps": dict(type=int, help="replications"),
-        "sigma": dict(type=float, help="within-cell response correlation parameter"),
-    }
+    """Register ``--config`` and the named flag keys, in the order given."""
     for name in names:
-        options = dict(flags[name])
-        parser.add_argument(f"--{name}", default=None, **options)
+        if name == "config":
+            parser.add_argument("--config", help="flat key=value configuration file; flags override")
+            continue
+        f = _KEYS[name]
+        if not f.metadata["flag"]:
+            raise ValueError(f"{name} is a file-only key")
+        options = {"help": f.metadata["help"]}
+        if _TYPES[name] in (int, float):
+            options["type"] = _TYPES[name]
+        if f.metadata["choices"]:
+            options["choices"] = f.metadata["choices"]
+        parser.add_argument(f"--{name.replace('_', '-')}", **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1348,16 +1333,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("simulate", help="write synthetic datasets to CSV")
-    _add_common(p, "design", "n", "seed", "output", "j-count", "sigma", "format", "config")
+    _add_common(p, "design", "n", "seed", "output", "j_count", "sigma", "format", "config")
 
     p = sub.add_parser("estimate-le", help="GMM estimates for a list experiment")
-    _add_common(p, "input", "output", "format", "config", "j-count", "spec", "n-boot", "seed")
+    _add_common(p, "input", "output", "format", "config", "j_count", "spec", "n_boot", "seed")
 
     p = sub.add_parser("test-le", help="specification tests for a list experiment")
-    _add_common(p, "input", "output", "format", "config", "j-count", "spec", "n-boot", "seed")
+    _add_common(p, "input", "output", "format", "config", "j_count", "spec", "n_boot", "seed")
 
     p = sub.add_parser("estimate-mrt", help="latent-class estimates from three responses")
-    _add_common(p, "input", "output", "format", "config", "ordering", "n-boot", "seed")
+    _add_common(p, "input", "output", "format", "config", "ordering", "n_boot", "seed")
 
     p = sub.add_parser("montecarlo", help="replication tables for built-in designs")
     _add_common(p, "design", "n", "reps", "sigma", "seed", "output", "format", "config")
@@ -1366,7 +1351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: Report, cfg: RunConfig) -> None:
-    rendered = _RENDERERS[cfg.fmt](report)
+    rendered = _RENDERERS[cfg.format](report)
     if cfg.subcommand == "simulate" or cfg.output is None:
         sys.stdout.write(rendered)
     else:

@@ -144,15 +144,13 @@ class LeSample:
     """Observed list-experiment records in column layout.
 
     y[i] is the reported count, t[i] the group indicator (0 control,
-    1 treatment), z an optional (n, k) matrix of discrete covariate codes, and
-    x_direct an optional direct-question response for control rows (-1 marks
-    "not asked", which is every treatment row).
+    1 treatment), and x_direct an optional direct-question response for
+    control rows (-1 marks "not asked", which is every treatment row).
     """
 
     j_count: int
     y: np.ndarray
     t: np.ndarray
-    z: np.ndarray | None = None
     x_direct: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -173,13 +171,6 @@ class LeSample:
             )
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "t", t)
-        if self.z is not None:
-            z = np.asarray(self.z)
-            if z.ndim == 1:
-                z = z[:, None]
-            if z.shape[0] != y.size:
-                raise DomainError("z must have one row per record")
-            object.__setattr__(self, "z", z)
         if self.x_direct is not None:
             x = np.asarray(self.x_direct, dtype=np.int64)
             if x.shape != y.shape:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import optimize
 from scipy.special import expit
 
-from .errors import DomainError, EstimationError
+from .errors import DomainError, EstimationError, ListmrtError
 from .mrt_core import MrtJoint, OrderingRule, decompose_closed_form
 
 logger = logging.getLogger(__name__)
@@ -268,7 +268,7 @@ def _warm_start(sample: MrtContinuousSample, ordering: OrderingRule, dim: int):
         try:
             joint = MrtJoint.from_records(sample.x1[mask], sample.x2[mask], sample.x3[mask])
             est = decompose_closed_form(joint, 1, ordering)
-        except Exception:  # noqa: BLE001 - any failed bin just skips the warm start
+        except ListmrtError:  # a bin the closed form cannot decompose skips the warm start
             return None
         m = est.pr_x_given_xstar
         probs.append([est.pr_xstar, m[0, 0], m[0, 1], m[1, 0], m[1, 1], m[2, 0], m[2, 1]])

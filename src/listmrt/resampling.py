@@ -1,9 +1,11 @@
 """Bootstrap inference and the deterministic Monte Carlo harness.
 
-The bootstrap resamples records i.i.d. (optionally within strata), reruns an
-estimator per replicate, and reports percentile intervals; replicates where
-the estimator legitimately fails (rank failure, non-convergence) are dropped
-and counted, with a hard error once more than a fifth fail.
+The bootstrap resamples each sample type by its own scheme (list-experiment
+records within their treatment group, an MRT cell's counts by a multinomial
+draw, continuous-covariate records i.i.d.), reruns an estimator per
+replicate, and reports percentile intervals; replicates where the estimator
+legitimately fails (rank failure, non-convergence) are dropped and counted,
+with a hard error once more than a fifth fail.
 
 The Monte Carlo designs reproduce the simulation studies: a two-cell
 discrete-covariate design, a continuous-covariate logistic design, and
@@ -57,17 +59,6 @@ _MC_ORDERING = OrderingRule(question=1, class1_higher=True)
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-class Stratify(enum.Enum):
-    NONE = "none"
-    GROUP = "group"
-    CELL = "cell"
-
-
-class FailurePolicy(enum.Enum):
-    DROP_AND_FLAG = "drop_and_flag"
-    ERROR = "error"
-
-
 class Direction(enum.Enum):
     GREATER = "greater"
     LESS = "less"
@@ -104,8 +95,6 @@ class CorrelationScale(enum.Enum):
 class BootstrapConfig:
     n_reps: int = 1000
     seed: int = 0
-    stratify_by: Stratify = Stratify.NONE
-    failure_policy: FailurePolicy = FailurePolicy.DROP_AND_FLAG
 
     def __post_init__(self) -> None:
         if self.n_reps < 100:
@@ -368,20 +357,15 @@ def simulate_continuous_design(
 # Bootstrap
 
 
-def _resample(sample, rng: np.random.Generator, stratify: Stratify):
+def _resample(sample, rng: np.random.Generator):
     if isinstance(sample, LeSample):
-        n = sample.y.size
-        if stratify is Stratify.GROUP:
-            idx = np.arange(n)
-            parts = []
-            for t_val in (0, 1):
-                grp = idx[sample.t == t_val]
-                parts.append(rng.choice(grp, size=grp.size, replace=True))
-            take = np.concatenate(parts)
-        elif stratify is Stratify.NONE:
-            take = rng.integers(0, n, size=n)
-        else:
-            raise DomainError("cell stratification does not apply to list-experiment samples")
+        # Within each treatment group, so both group sizes stay fixed.
+        idx = np.arange(sample.y.size)
+        parts = []
+        for t_val in (0, 1):
+            grp = idx[sample.t == t_val]
+            parts.append(rng.choice(grp, size=grp.size, replace=True))
+        take = np.concatenate(parts)
         x_direct = None if sample.x_direct is None else sample.x_direct[take]
         return LeSample(
             j_count=sample.j_count, y=sample.y[take], t=sample.t[take], x_direct=x_direct
@@ -389,18 +373,10 @@ def _resample(sample, rng: np.random.Generator, stratify: Stratify):
     if isinstance(sample, MrtJoint):
         return _resample_joint(sample, rng)
     if isinstance(sample, MrtContinuousSample):
-        if stratify is not Stratify.NONE:
-            raise DomainError("continuous samples support pooled resampling only")
         take = rng.integers(0, sample.n, size=sample.n)
         return MrtContinuousSample(
             x1=sample.x1[take], x2=sample.x2[take], x3=sample.x3[take], z=sample.z[take]
         )
-    if isinstance(sample, (list, tuple)) and sample and all(
-        isinstance(s, MrtJoint) for s in sample
-    ):
-        if stratify in (Stratify.CELL, Stratify.NONE):
-            return [_resample_joint(s, rng) for s in sample]
-        raise DomainError("multi-cell samples support cell or pooled stratification")
     raise DomainError(f"cannot resample a {type(sample).__name__}")
 
 
@@ -413,21 +389,19 @@ def _resample_joint(joint: MrtJoint, rng: np.random.Generator) -> MrtJoint:
 def bootstrap(sample, estimator, config: BootstrapConfig = BootstrapConfig()) -> BootstrapResult:
     """Record-level bootstrap of an estimator.
 
-    `estimator` maps a resampled object of the same type to a scalar or
-    vector of estimates. Replicates where it raises a package error are
-    handled per `config.failure_policy`; more than 20% failures aborts with
-    InferenceError regardless of policy.
+    `estimator` maps a resampled object of the same type (LeSample, MrtJoint
+    or MrtContinuousSample) to a scalar or vector of estimates. Replicates
+    where it raises a package error are dropped and counted; more than 20%
+    failures aborts with InferenceError.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     rows = []
     n_failed = 0
     for _ in range(config.n_reps):
-        redraw = _resample(sample, rng, config.stratify_by)
+        redraw = _resample(sample, rng)
         try:
             est = estimator(redraw)
         except ListmrtError:
-            if config.failure_policy is FailurePolicy.ERROR:
-                raise
             n_failed += 1
             continue
         rows.append(np.atleast_1d(np.asarray(est, dtype=float)))

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +15,11 @@ from listmrt.cli import (
     Report,
     RunConfig,
     Table,
+    _KEYS,
+    _TYPES,
     _fmt,
     build_parser,
+    format_ordering,
     _resolve_config,
     load_le_csv,
     load_mrt_csv,
@@ -29,7 +33,7 @@ from listmrt.cli import (
 )
 from listmrt.errors import LoadError
 from listmrt.le_core import ControlDistribution, LeParams, le_forward
-from listmrt.mrt_core import MrtJoint
+from listmrt.mrt_core import MrtJoint, OrderingRule
 from listmrt.mrt_mle import MrtContinuousSample
 from listmrt.resampling import DISCRETE_TRUTH, simulate_discrete_design
 
@@ -63,7 +67,7 @@ class TestLoadLeCsv:
         assert sample.n == 2
         assert sample.y.tolist() == [0, 4]
         assert sample.t.tolist() == [0, 1]
-        assert sample.z is None and sample.x_direct is None
+        assert sample.x_direct is None
 
     def test_control_y_exceeds_j_names_the_row(self, tmp_path):
         path = write(tmp_path / "le.csv", "y,t\n5,0\n2,1\n")
@@ -137,10 +141,12 @@ class TestLoadLeCsv:
         with pytest.raises(LoadError, match="row 1: missing value for x_direct"):
             load_le_csv(path, j_count=3)
 
-    def test_z_columns_parsed_as_codes(self, tmp_path):
+    def test_z_columns_rejected(self, tmp_path):
         path = write(tmp_path / "le.csv", "y,t,z_region,z_age\n1,0,2,0\n3,1,1,2\n")
-        sample = load_le_csv(path, j_count=3)
-        assert sample.z.tolist() == [[2, 0], [1, 2]]
+        with pytest.raises(
+            LoadError, match="covariate column 'z_region' is not supported for list experiments"
+        ):
+            load_le_csv(path, j_count=3)
 
     def test_simulated_file_round_trips(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -236,12 +242,108 @@ def resolve(*args):
     return _resolve_config(build_parser().parse_args([str(a) for a in args]))
 
 
+# One config-file value per RunConfig key, in field order, each differing
+# from the key's default: (text in the file, resolved value).
+CONFIG_SAMPLES = {
+    "input": ("data.csv", "data.csv"),
+    "output": ("report.json", "report.json"),
+    "format": ("csv", "csv"),
+    "j_count": ("5", 5),
+    "spec": ("equal_p", "equal_p"),
+    "ordering": ("3:lower", OrderingRule(question=3, class1_higher=False)),
+    "n_boot": ("300", 300),
+    "seed": ("17", 17),
+    "design": ("continuous", "continuous"),
+    "n": ("250", 250),
+    "reps": ("4", 4),
+    "sigma": ("0.25", 0.25),
+    "mode": ("discrete", "discrete"),
+    "jobs": ("2", 2),
+    "x2_fix": ("0", 0),
+    "direct_question": ("3", 3),
+    "affirmative_is_truth_for": ("1", 1),
+    "bootstrap_estimator": ("extreme", "extreme"),
+    "correlation_scale": ("realized", "realized"),
+    "group_share": ("0.4", 0.4),
+    "rank_n_boot": ("199", 199),
+    "include_intercept": ("false", False),
+    "estimators": ("mle", "mle"),
+}
+
+
 class TestConfiguration:
     def test_ordering_parse(self):
         rule = parse_ordering("2:lower")
         assert rule.question == 2 and rule.class1_higher is False
         with pytest.raises(LoadError, match="ordering must look like"):
             parse_ordering("first:up")
+        for question in (1, 2, 3):
+            for direction in ("higher", "lower"):
+                text = f"{question}:{direction}"
+                rule = parse_ordering(text)
+                assert format_ordering(rule) == text
+
+    @pytest.mark.parametrize(
+        "key,text,expected", [(key, *sample) for key, sample in CONFIG_SAMPLES.items()]
+    )
+    def test_every_key_loads_from_a_config_file(self, tmp_path, key, text, expected):
+        # A runnable montecarlo base; the key's own line comes last and wins.
+        base = "design = discrete\nn = 100\nreps = 2\nseed = 1\n"
+        cfg_file = write(tmp_path / "run.cfg", f"{base}{key} = {text}\n")
+        cfg = resolve("montecarlo", "--config", cfg_file)
+        value = getattr(cfg, key)
+        assert value == expected and type(value) is type(expected)
+        assert value != getattr(RunConfig(subcommand="montecarlo"), key)
+
+    def test_config_samples_cover_every_key(self):
+        assert list(CONFIG_SAMPLES) == list(_KEYS) and len(_KEYS) == 23
+
+    @pytest.mark.parametrize("key,text,message", [
+        ("n", "12.5", "n must be an integer"),
+        ("sigma", "high", "sigma must be a number"),
+        ("include_intercept", "yes", "include_intercept must be true or false"),
+    ])
+    def test_malformed_typed_value_names_the_line(self, tmp_path, key, text, message):
+        cfg_file = write(tmp_path / "run.cfg", f"seed = 1\n{key} = {text}\n")
+        with pytest.raises(LoadError, match=f"config line 2: {message}"):
+            resolve("montecarlo", "--config", cfg_file)
+
+    def test_disallowed_value_rejected(self, tmp_path):
+        cfg_file = write(tmp_path / "run.cfg", "x2_fix = 2\n")
+        with pytest.raises(LoadError, match="x2_fix must be one of 0/1, got 2"):
+            resolve("montecarlo", "--config", cfg_file, "--design", "discrete",
+                    "--n", 100, "--reps", 2, "--seed", 1)
+
+    def test_flag_keys_are_the_registered_flags(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "subcommand").choices
+        registered = {
+            action.dest for sub in subparsers.values() for action in sub._actions
+        } - {"help", "config"}
+        flags = {name for name, f in _KEYS.items() if f.metadata["flag"]}
+        assert registered == flags
+
+    def test_readme_lists_every_key_once(self):
+        # README's key table must match the RunConfig declaration: name, type, default.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
+        listed = [
+            tuple(cell.strip().strip("`") for cell in line.split("|")[1:4])
+            for line in section.splitlines() if line.startswith("| `")
+        ]
+        type_names = {int: "int", float: "float", bool: "bool", str: "str", OrderingRule: "ordering"}
+
+        def spelled(default):
+            if default is None:
+                return "none"
+            if isinstance(default, OrderingRule):
+                return format_ordering(default)
+            return str(default).lower()
+
+        expected = [
+            (name, type_names[_TYPES[name]], spelled(f.default)) for name, f in _KEYS.items()
+        ]
+        assert listed == expected
 
     def test_config_file_values_used(self, tmp_path):
         cfg_file = write(tmp_path / "run.cfg", "# comment\n\nn = 500\ndesign = mrt-discrete\n")

@@ -10,7 +10,7 @@ from scipy.special import expit
 
 from listmrt import mrt_mle
 from listmrt.cli import main
-from listmrt.errors import DomainError
+from listmrt.errors import DomainError, ListmrtError
 from listmrt.mrt_core import OrderingRule
 from listmrt.mrt_mle import (
     MleParams,
@@ -280,6 +280,27 @@ class TestMleFit:
         s = simulate_slope_only(120, seed=37)
         with pytest.raises(DomainError, match="starts"):
             mle_fit(s, starts=0)
+
+
+class TestWarmStart:
+    @staticmethod
+    def _failing_closed_form(exc):
+        def fail(*args, **kwargs):
+            raise exc
+        return fail
+
+    def test_package_error_skips_the_warm_start(self, monkeypatch):
+        monkeypatch.setattr(
+            mrt_mle, "decompose_closed_form", self._failing_closed_form(ListmrtError("bin"))
+        )
+        assert mrt_mle._warm_start(simulate_slope_only(600, seed=3), OrderingRule(), 1) is None
+
+    def test_other_errors_propagate(self, monkeypatch):
+        monkeypatch.setattr(
+            mrt_mle, "decompose_closed_form", self._failing_closed_form(RuntimeError("bug"))
+        )
+        with pytest.raises(RuntimeError, match="bug"):
+            mrt_mle._warm_start(simulate_slope_only(600, seed=3), OrderingRule(), 1)
 
 
 class TestPredictShare:

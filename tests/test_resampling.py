@@ -17,9 +17,7 @@ from listmrt.resampling import (
     DesignKind,
     Direction,
     DiscreteTruth,
-    FailurePolicy,
     McDesign,
-    Stratify,
     _binary_corr,
     _bvn_cdf,
     _draw_bits,
@@ -76,13 +74,8 @@ class TestBootstrap:
     def test_group_stratification_preserves_group_sizes(self):
         sample = null_le_sample(600, seed=9)
         counts = lambda s: (float((s.t == 0).sum()), float((s.t == 1).sum()))  # noqa: E731
-        strat = bootstrap(
-            sample, counts,
-            BootstrapConfig(n_reps=150, seed=3, stratify_by=Stratify.GROUP),
-        )
+        strat = bootstrap(sample, counts, BootstrapConfig(n_reps=150, seed=3))
         assert np.all(strat.se == 0.0)
-        pooled = bootstrap(sample, counts, BootstrapConfig(n_reps=150, seed=3))
-        assert np.all(pooled.se > 0.0)
 
     def test_gmm_bootstrap_se_matches_monte_carlo_sd(self):
         # Across-replication sd of delta-hat is the oracle for the bootstrap SE.
@@ -103,7 +96,7 @@ class TestBootstrap:
         mc_sd = mc.std(ddof=1)
         res = bootstrap(
             draw(70), delta_hat,
-            BootstrapConfig(n_reps=150, seed=71, stratify_by=Stratify.GROUP),
+            BootstrapConfig(n_reps=150, seed=71),
         )
         se = float(res.se[0])
         assert abs(se - mc_sd) < 0.25 * mc_sd, f"bootstrap {se:.4f} vs MC {mc_sd:.4f}"
@@ -118,18 +111,6 @@ class TestBootstrap:
 
         with pytest.raises(InferenceError, match="unstable"):
             bootstrap(sample, flaky, BootstrapConfig(n_reps=200, seed=11))
-
-    def test_error_policy_propagates_immediately(self):
-        sample = bernoulli_sample(100, 0.5, seed=4)
-
-        def always_fails(s):
-            raise ListmrtError("broken")
-
-        with pytest.raises(ListmrtError, match="broken"):
-            bootstrap(
-                sample, always_fails,
-                BootstrapConfig(n_reps=100, seed=11, failure_policy=FailurePolicy.ERROR),
-            )
 
     def test_moderate_failures_dropped_and_counted(self):
         sample = bernoulli_sample(400, 0.5, seed=6)
@@ -155,27 +136,7 @@ class TestBootstrap:
         assert res.estimates.shape == (150, 1)
         assert float(res.se[0]) > 0
 
-    def test_multi_cell_resampling(self):
-        joints = [
-            MrtJoint.from_probs(DISCRETE_TRUTH.cell0.joint_probs(), n_cell=300, z_cell=0),
-            MrtJoint.from_probs(DISCRETE_TRUTH.cell1.joint_probs(), n_cell=700, z_cell=1),
-        ]
-
-        def cell_sizes(js):
-            return tuple(float(j.n_cell) for j in js)
-
-        res = bootstrap(
-            joints, cell_sizes,
-            BootstrapConfig(n_reps=120, seed=0, stratify_by=Stratify.CELL),
-        )
-        assert np.all(res.se == 0.0)  # cell sizes are preserved exactly
-
     def test_invalid_stratification_rejected(self):
-        with pytest.raises(DomainError, match="cell stratification"):
-            bootstrap(
-                null_le_sample(200, seed=1), lambda s: 0.0,
-                BootstrapConfig(n_reps=100, seed=0, stratify_by=Stratify.CELL),
-            )
         with pytest.raises(DomainError, match="cannot resample"):
             bootstrap({"not": "a sample"}, lambda s: 0.0, BootstrapConfig(n_reps=100, seed=0))
 
