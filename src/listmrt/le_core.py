@@ -210,6 +210,41 @@ def _forward_probs(
     return kappa * inner + p1 / (j + 2)
 
 
+def _forward_jacobian(
+    p0v: np.ndarray, j: int, spec: Spec, delta: float, p0: float, p1: float, p: float
+) -> np.ndarray:
+    """Jacobian of _forward_probs: a (J+2, 4) matrix, columns d/d(delta, p0, p1, p).
+
+    The p column is zero under the uniform-misreporting specs and the p0, p1
+    columns are zero under the strategic spec.
+    """
+    d = delta
+    jac = np.zeros((j + 2, 4))
+    if spec is Spec.STRATEGIC:
+        jac[0, 0] = -p0v[0]
+        jac[1:j, 0] = p0v[: j - 1] - p0v[1:j]
+        jac[j, 0] = p0v[j - 1] - (1.0 - p) * p0v[j]
+        jac[j + 1, 0] = (1.0 - p) * p0v[j]
+        jac[j, 3] = d * p0v[j]
+        jac[j + 1, 3] = -d * p0v[j]
+        return jac
+
+    # Uniform specs: the model is kappa * inner + p1/(J+2), with kappa =
+    # (1-p1)/(1-p0) and inner affine in delta and in floor = p0/(J+1).
+    kappa = (1.0 - p1) / (1.0 - p0)
+    floor = p0 / (j + 1)
+    scaled = _forward_probs(p0v, j, spec, d, p0, p1, p) - p1 / (j + 2)  # kappa * inner
+    jac[0, 0] = floor - p0v[0]
+    jac[1 : j + 1, 0] = p0v[:j] - p0v[1:]
+    jac[j + 1, 0] = p0v[j] - floor
+    jac[:, 0] *= kappa
+    floor_coef = np.ones(j + 2)  # minus d(inner)/d(floor)
+    floor_coef[0], floor_coef[j + 1] = 1.0 - d, d
+    jac[:, 1] = scaled / (1.0 - p0) - kappa * floor_coef / (j + 1)
+    jac[:, 2] = 1.0 / (j + 2) - scaled / (1.0 - p1)
+    return jac
+
+
 def le_forward(params: LeParams, control: ControlDistribution) -> TreatmentDistribution:
     """Map the control response distribution to the implied treatment distribution.
 

@@ -9,8 +9,9 @@ T_n = n * min_theta psi_bar' W psi_bar is asymptotically chi-square with
 (J+1) - (free parameters) degrees of freedom, and it does not depend on which
 redundant moment is left out of the efficient weighting.
 
-Also houses the modified-design consistency check (direct question asked of
-the control group) and the auxiliary z-test that the control mean equals J/2.
+Both GMM steps are bounded least-squares fits (see gmm_estimate). Also
+houses the modified-design consistency check (direct question asked of the
+control group) and the auxiliary z-test that the control mean equals J/2.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
-from scipy import stats
+from scipy import optimize, stats
 
-from ._optim import box_lattice, multistart_nelder_mead
+from ._optim import box_lattice
 from .errors import DomainError, IdentificationError
 from .le_core import (
     ControlDistribution,
@@ -30,23 +32,25 @@ from .le_core import (
     LeSample,
     Spec,
     TreatmentDistribution,
+    _forward_jacobian,
     _forward_probs,
     empirical_distributions,
 )
 
 logger = logging.getLogger(__name__)
 
-# Free parameters per specification: (delta, p0, p1) / (delta, p) / (delta,) /
-# (delta, p).
-FREE_PARAMS = {
-    Spec.UNRESTRICTED: 3,
-    Spec.EQUAL_P: 2,
-    Spec.NO_MISREPORT: 1,
-    Spec.STRATEGIC: 2,
+# Rows map the packed free parameters to (delta, p0, p1, p): theta = vec @ _EMBED[spec],
+# and the Jacobian in the free parameters is jac @ _EMBED[spec].T.
+_EMBED = {
+    Spec.UNRESTRICTED: np.eye(3, 4),  # (delta, p0, p1)
+    Spec.EQUAL_P: np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]]),  # (delta, p)
+    Spec.NO_MISREPORT: np.eye(1, 4),  # (delta,)
+    Spec.STRATEGIC: np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),  # (delta, p)
 }
 
 _PARAM_HI = 0.999  # open upper edge of the parameter box (rates live in [0, 1))
 _COND_LIMIT = 1e12  # condition number beyond which the weight matrix is ridged
+_LSQ_TOL = 1e-12  # ftol, xtol and gtol of the least-squares solves
 
 #: Printed alongside the modified-design gap: a zero gap is necessary but not
 #: sufficient for truthful reporting.
@@ -71,7 +75,7 @@ class MomentSpec:
 
     @property
     def n_free(self) -> int:
-        return FREE_PARAMS[self.spec]
+        return _EMBED[self.spec].shape[0]
 
     @property
     def dof(self) -> int:
@@ -144,22 +148,14 @@ def moment_values(
 
 
 def _g0_matrix(theta: LeParams, j: int) -> np.ndarray:
-    """Jacobian of the moment vector with respect to the control probabilities."""
-    g = np.zeros((j + 2, j + 1))
-    idx = np.arange(j + 1)
-    if theta.spec is Spec.STRATEGIC:
-        d, p = theta.delta, theta.p
-        sub = np.arange(j)
-        g[sub, sub] += 1.0 - d
-        g[sub + 1, sub] += d
-        g[j, j] += (1.0 - d) + d * p
-        g[j + 1, j] += d * (1.0 - p)
-        return g
-    d = theta.delta
-    kappa = (1.0 - theta.p1) / (1.0 - theta.p0)
-    g[idx, idx] += (1.0 - d) * kappa
-    g[idx + 1, idx] += d * kappa
-    return g
+    """Jacobian of the moment vector with respect to the control probabilities.
+
+    The forward model is affine in them, so column k is the model at the k-th
+    unit vector minus the model at zero.
+    """
+    args = (j, theta.spec, theta.delta, theta.p0, theta.p1, theta.p)
+    images = np.array([_forward_probs(e, *args) for e in np.eye(j + 2, j + 1, -1)])
+    return (images[1:] - images[0]).T
 
 
 def moment_covariance(
@@ -179,29 +175,45 @@ def moment_covariance(
     return g0 @ om0 @ g0.T / c0 + om1 / c1
 
 
-def _scalars(vec: np.ndarray, spec: Spec) -> tuple:
-    """(delta, p0, p1, p) of a packed parameter vector under `spec`."""
-    if spec is Spec.UNRESTRICTED:
-        return vec[0], vec[1], vec[2], 0.0
-    if spec is Spec.EQUAL_P:
-        return vec[0], vec[1], vec[1], 0.0
-    if spec is Spec.NO_MISREPORT:
-        return vec[0], 0.0, 0.0, 0.0
-    return vec[0], 0.0, 0.0, vec[1]
-
-
 def _unpack(vec: np.ndarray, spec: Spec) -> LeParams:
-    delta, p0, p1, p = _scalars(vec, spec)
+    delta, p0, p1, p = vec @ _EMBED[spec]
     return LeParams(delta=delta, p0=p0, p1=p1, spec=spec, p=p)
 
 
-def _starts(spec: Spec, bounds) -> list[np.ndarray]:
-    """Eight deterministic starting points spanning the parameter box."""
+def _starts(spec: Spec) -> list[np.ndarray]:
+    """Eight deterministic starting points spanning the box (unrestricted, equal_p)."""
     if spec is Spec.UNRESTRICTED:
-        return box_lattice(bounds, [[0.25, 0.75], [0.1, 0.4], [0.1, 0.4]])
+        return box_lattice([(0.0, _PARAM_HI)] * 3, [[0.25, 0.75], [0.1, 0.4], [0.1, 0.4]])
+    return box_lattice([(0.0, _PARAM_HI)] * 2, [[0.1, 0.35, 0.6, 0.85], [0.1, 0.4]])
+
+
+def _segment_min(c: np.ndarray, a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Minimiser of ||c + a x||^2 on the segment from lo to hi."""
+    d = a @ (hi - lo)
+    r = c + a @ lo
+    den = float(d @ d)
+    t = min(max(-float(d @ r) / den, 0.0), 1.0) if den > 0.0 else float(d @ r < 0.0)
+    return lo + t * (hi - lo)
+
+
+def _affine_min(c: np.ndarray, a: np.ndarray, spec: Spec) -> np.ndarray:
+    """Exact minimiser of ||c + a x||^2 under a spec whose moments are affine.
+
+    no_misreport: x = (delta,) on [0, HI], a clipped 1-D solve. strategic:
+    x = (delta, u) with u = delta * p on the triangle 0 <= u <= HI * delta <=
+    HI^2, a convex quadratic: the unconstrained solution if it is feasible,
+    otherwise the best of the three edges. Returns the packed (delta,) or
+    (delta, p); p is 0 when delta is 0, where it is not identified.
+    """
+    hi = _PARAM_HI
     if spec is Spec.NO_MISREPORT:
-        return box_lattice(bounds, [np.linspace(0.05, 0.9, 8)])
-    return box_lattice(bounds, [[0.1, 0.35, 0.6, 0.85], [0.1, 0.4]])
+        return _segment_min(c, a, np.zeros(1), np.full(1, hi))
+    x = np.linalg.lstsq(a, -c, rcond=None)[0]
+    if not (0.0 <= x[1] <= hi * x[0] <= hi * hi):
+        corners = (np.zeros(2), np.array([hi, 0.0]), np.array([hi, hi * hi]))
+        edges = [_segment_min(c, a, lo, up) for lo, up in combinations(corners, 2)]
+        x = min(edges, key=lambda e: float(np.sum((c + a @ e) ** 2)))
+    return np.array([x[0], min(x[1] / x[0], hi) if x[0] > 0.0 else 0.0])
 
 
 def _weight_from_cov(sigma: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -229,12 +241,21 @@ def gmm_estimate(
 ) -> GmmResult:
     """Two-step GMM fit of the forward model with an overidentification test.
 
-    Step 1 minimizes the identity-weighted norm of all J+2 moments from a
-    deterministic lattice of starting points; step 2 re-minimizes under the
-    inverse of the moment covariance evaluated at the step-1 solution
-    (ridge-regularized and flagged when near-singular). T_n is n times the
-    step-2 minimum and is referred to the chi-square upper tail with
-    dof = (J+1) - free parameters.
+    Step 1 minimizes the identity-weighted norm of all J+2 moments; step 2
+    re-minimizes psi_K' W psi_K, with W the inverse of the moment covariance
+    evaluated at the step-1 solution (ridge-regularized and flagged when
+    near-singular), as the norm of the residuals whitened by the Cholesky
+    factor of W. T_n is n times the step-2 minimum and is referred to the
+    chi-square upper tail with dof = (J+1) - free parameters.
+
+    Each step is a bounded least-squares problem on the box [0, 0.999] with
+    the analytic Jacobian of the forward model. The moments are affine in
+    delta under no_misreport and in (delta, delta * p) under strategic, so
+    those steps are solved exactly (_affine_min). Under unrestricted and
+    equal_p, step 1 runs a trust-region reflective solve from each point of
+    a fixed lattice and keeps the best; step 2 starts from the step-1
+    solution. `converged` is true when the winning solve of each step met
+    its tolerance; exact steps count as converged.
 
     Args:
       data: an LeSample, or (ControlDistribution, TreatmentDistribution,
@@ -253,19 +274,32 @@ def gmm_estimate(
     if n is None:
         n = 1 if n_for_stat is None else int(n_for_stat)
     kind = spec.spec
+    embed = _EMBED[kind]
 
-    def psi(vec: np.ndarray) -> np.ndarray:
-        return _forward_probs(p0hat, j, kind, *_scalars(vec, kind)) - p1hat
+    def fit(keep: slice, root: np.ndarray, x0=None) -> tuple[np.ndarray, float, bool]:
+        """(argmin, min, converged) of ||root' psi_keep||^2, from x0 or else the lattice."""
 
-    def identity_objective(vec: np.ndarray) -> float:
-        r = psi(vec)
-        return float(r @ r)
+        def resid(vec: np.ndarray) -> np.ndarray:
+            return root.T @ (_forward_probs(p0hat, j, kind, *(vec @ embed)) - p1hat)[keep]
 
-    bounds = [(0.0, _PARAM_HI)] * spec.n_free
-    starts = _starts(kind, bounds)
-    x1, _, conv1 = multistart_nelder_mead(
-        identity_objective, starts, bounds, xatol=1e-7, fatol=1e-13
-    )
+        def jac(vec: np.ndarray) -> np.ndarray:
+            return root.T @ (_forward_jacobian(p0hat, j, kind, *(vec @ embed)) @ embed.T)[keep]
+
+        if kind in (Spec.NO_MISREPORT, Spec.STRATEGIC):
+            # The moments are affine in (delta, delta * p); the Jacobian at
+            # (delta, p) = (1, 0) holds their coefficients.
+            unit = np.eye(spec.n_free)[0]
+            x = _affine_min(resid(np.zeros(spec.n_free)), jac(unit), kind)
+            return x, float(np.sum(resid(x) ** 2)), True
+        solves = [
+            optimize.least_squares(resid, start, jac=jac, bounds=(0.0, _PARAM_HI), method="trf",
+                                   ftol=_LSQ_TOL, xtol=_LSQ_TOL, gtol=_LSQ_TOL)
+            for start in (_starts(kind) if x0 is None else [x0])
+        ]
+        best = min(solves, key=lambda res: res.cost)
+        return best.x, float(np.sum(best.fun ** 2)), bool(best.success)
+
+    x1, _, conv1 = fit(slice(None), np.eye(j + 2))
     theta1 = _unpack(x1, kind)
 
     # The moments sum to zero at every theta and so does each row of their
@@ -273,14 +307,7 @@ def gmm_estimate(
     # for every set K of J+1 moments: dropping moment 0 loses nothing.
     sigma = moment_covariance(theta1, p0hat, p1hat, c0, c1)
     w, ridged = _weight_from_cov(sigma[1:, 1:])
-
-    def weighted_objective(vec: np.ndarray) -> float:
-        r = psi(vec)[1:]
-        return float(r @ w @ r)
-
-    x2, f2, conv2 = multistart_nelder_mead(
-        weighted_objective, starts + [x1], bounds, xatol=1e-7, fatol=1e-13
-    )
+    x2, f2, conv2 = fit(slice(1, None), np.linalg.cholesky(w), x1)
     theta2 = _unpack(x2, kind)
 
     t_stat = max(0.0, n * f2)

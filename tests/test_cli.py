@@ -5,11 +5,14 @@ import io
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 import listmrt
+from listmrt import le_gmm
 from listmrt.cli import (
     MARKER_LEGEND,
     Report,
@@ -32,7 +35,7 @@ from listmrt.cli import (
     significance_marker,
 )
 from listmrt.errors import LoadError
-from listmrt.le_core import ControlDistribution, LeParams, le_forward
+from listmrt.le_core import ControlDistribution, LeParams, Spec, le_forward
 from listmrt.mrt_core import MrtJoint, OrderingRule
 from listmrt.mrt_mle import MrtContinuousSample
 from listmrt.resampling import DISCRETE_TRUTH, simulate_discrete_design
@@ -644,6 +647,32 @@ class TestEstimateLeCli:
                        "--output", report_path) == 0
         rows = {r[0]: r for r in table(load_json_report(report_path), "estimates")["rows"]}
         assert rows["p0"][1] == rows["p1"][1]
+
+    def test_unconverged_winning_solve_is_reported(self, null_le_file, tmp_path, monkeypatch):
+        # Step 1: the first lattice solve converges but is pushed out of the
+        # lead, and the others, the winner among them, report failure. Step 2
+        # converges, so only the winning solve of step 1 is at fault.
+        n_starts = len(le_gmm._starts(Spec.UNRESTRICTED))
+        calls = []
+
+        def least_squares(*args, **kwargs):
+            res = optimize.least_squares(*args, **kwargs)
+            calls.append(res)
+            if len(calls) == 1:
+                res.success, res.cost = True, res.cost + 1.0
+            else:
+                res.success = len(calls) > n_starts
+            return res
+
+        monkeypatch.setattr(le_gmm, "optimize", SimpleNamespace(least_squares=least_squares))
+        report_path = tmp_path / "report.json"
+        assert run_cli("estimate-le", "--input", null_le_file, "--j-count", 4,
+                       "--format", "json", "--output", report_path) == 0
+        report = load_json_report(report_path)
+        fit = table(report, "fit")
+        assert fit["rows"][0][fit["columns"].index("converged")] is False
+        assert report["diagnostics"]["not_converged"] == ["gmm optimizer did not converge"]
+        assert len(calls) == n_starts + 1
 
 
 # ---------------------------------------------------------------------------

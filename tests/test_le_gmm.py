@@ -3,6 +3,7 @@ modified-design consistency check."""
 
 import numpy as np
 import pytest
+from scipy import optimize
 from _support import (
     NULL_J,
     NULL_PARAMS,
@@ -18,13 +19,17 @@ from listmrt.le_core import (
     LeParams,
     LeSample,
     Spec,
+    _forward_jacobian,
+    _forward_probs,
     empirical_distributions,
     le_forward,
     simulate_le,
     simulate_modified_le,
 )
 from listmrt.le_gmm import (
+    _PARAM_HI,
     MomentSpec,
+    _affine_min,
     control_mean_ztest,
     gmm_estimate,
     j_test,
@@ -200,6 +205,143 @@ class TestGmmEstimate:
         sample = LeSample(j_count=2, y=np.array([0, 1, 2, 3]), t=np.array([0, 0, 1, 1]))
         with pytest.raises(IdentificationError):
             gmm_estimate(sample, MomentSpec(j_count=2))
+
+
+class TestForwardJacobian:
+    @pytest.mark.parametrize("kind", list(Spec))
+    def test_matches_central_differences(self, kind):
+        rng = np.random.default_rng(41)
+        h = 1e-6
+        for j in range(3, 8):
+            for _ in range(5):
+                q = rng.dirichlet(np.ones(j + 1))
+                theta = np.array([rng.uniform(0.05, 0.95), *rng.uniform(0.05, 0.6, size=3)])
+                jac = _forward_jacobian(q, j, kind, *theta)
+                fd = np.empty_like(jac)
+                for k in range(4):
+                    step = np.zeros(4)
+                    step[k] = h
+                    up = _forward_probs(q, j, kind, *(theta + step))
+                    down = _forward_probs(q, j, kind, *(theta - step))
+                    fd[:, k] = (up - down) / (2.0 * h)
+                scale = np.abs(jac).max(axis=0, keepdims=True)
+                assert np.all(np.abs(jac - fd) <= 1e-7 * np.maximum(scale, 1e-300)), (kind, j)
+
+
+def _grid_polish_min(objective, n_free):
+    """Dense-grid minimiser of objective(delta[, p]) on the box, then polished."""
+    grid = np.linspace(0.0, _PARAM_HI, 201 if n_free == 1 else 61)
+    points = np.stack(np.meshgrid(*[grid] * n_free, indexing="ij"), axis=-1).reshape(-1, n_free)
+    start = min(points, key=objective)
+    res = optimize.minimize(
+        objective, start, method="Nelder-Mead", bounds=[(0.0, _PARAM_HI)] * n_free,
+        options={"xatol": 1e-10, "fatol": 1e-15, "maxiter": 20_000},
+    )
+    return res.x, float(res.fun)
+
+
+class TestAffineClosedForms:
+    """_affine_min against a grid-plus-polish minimiser of psi' W psi."""
+
+    def _case(self, rng, kind, p1hat_from=None):
+        j = 4
+        q = rng.dirichlet(np.ones(j + 1))
+        if p1hat_from is None:
+            p1hat = rng.dirichlet(np.ones(j + 2))
+        else:
+            p1hat = _forward_probs(q, j, kind, *p1hat_from)
+        a = rng.normal(size=(j + 1, j + 1))
+        w = a @ a.T + 0.1 * np.eye(j + 1)  # random SPD weight on moments 1..J+1
+        root = np.linalg.cholesky(w)
+        unit = np.eye(2 if kind is Spec.STRATEGIC else 1)[0]
+
+        def scalars(vec):
+            return (vec[0], 0.0, 0.0, vec[1] if kind is Spec.STRATEGIC else 0.0)
+
+        def psi(vec):
+            return (_forward_probs(q, j, kind, *scalars(vec)) - p1hat)[1:]
+
+        def objective(vec):
+            r = psi(vec)
+            return float(r @ w @ r)
+
+        cols = [0, 3] if kind is Spec.STRATEGIC else [0]
+        coef = root.T @ _forward_jacobian(q, j, kind, *scalars(unit))[1:, cols]
+        x = _affine_min(root.T @ psi(np.zeros(unit.size)), coef, kind)
+        return x, objective(x), _grid_polish_min(objective, unit.size)
+
+    @pytest.mark.parametrize("kind", [Spec.NO_MISREPORT, Spec.STRATEGIC])
+    def test_random_weights(self, kind):
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            x, f, (x_ref, f_ref) = self._case(rng, kind)
+            assert f <= f_ref + 1e-12 * max(f_ref, 1.0), kind
+            np.testing.assert_allclose(x, x_ref, atol=1e-5, err_msg=str(kind))
+
+    @pytest.mark.parametrize(
+        "kind, truth, clipped",
+        [
+            (Spec.NO_MISREPORT, (1.0, 0.0, 0.0, 0.0), (_PARAM_HI,)),
+            (Spec.STRATEGIC, (1.0, 0.0, 0.0, 0.5), (_PARAM_HI, None)),
+            (Spec.STRATEGIC, (0.4, 0.0, 0.0, -0.3), (None, 0.0)),
+        ],
+    )
+    def test_optimum_clipped_at_a_bound(self, kind, truth, clipped):
+        # The objective is zero at `truth`, which lies outside the box.
+        x, f, (x_ref, f_ref) = self._case(np.random.default_rng(8), kind, p1hat_from=truth)
+        assert f <= f_ref + 1e-12
+        assert f > 1e-12  # the bound binds
+        np.testing.assert_allclose(x, x_ref, atol=1e-5)
+        for value, bound in zip(x, clipped):
+            if bound is not None:
+                assert value == bound
+
+
+# Step-2 (delta, p0, p1, p) and T_n of the multi-start Nelder-Mead fit that
+# the least-squares fit replaced. On null_le_sample(2000, 58) the step-1
+# objective has a lower minimum at p0 = p1 = 0.999 (5.1e-4 at delta = 0.83)
+# than the one the fit reports (7.4e-4); a solver that slides onto that face
+# fails this test.
+_GOLDEN = {
+    ("null11", Spec.UNRESTRICTED): (0.418157521, 0.175489739, 0.199604664, 0.0, 0.7076006222),
+    ("null11", Spec.EQUAL_P): (0.424477750, 0.200498833, 0.200498833, 0.0, 0.7727559897),
+    ("null11", Spec.NO_MISREPORT): (0.437904596, 0.0, 0.0, 0.0, 5.911242897),
+    ("null11", Spec.STRATEGIC): (0.437904587, 0.0, 0.0, 0.0, 5.911242872),
+    ("null12", Spec.UNRESTRICTED): (0.457974395, 0.212148711, 0.171984111, 0.0, 3.535270796),
+    ("null12", Spec.EQUAL_P): (0.447527334, 0.167861498, 0.167861498, 0.0, 3.708345460),
+    ("null12", Spec.NO_MISREPORT): (0.452777969, 0.0, 0.0, 0.0, 7.019149774),
+    ("null12", Spec.STRATEGIC): (0.452777963, 0.0, 0.0, 0.0, 7.019149770),
+    ("null13", Spec.UNRESTRICTED): (0.388657498, 0.458929902, 0.360250613, 0.0, 1.795046103),
+    ("null13", Spec.EQUAL_P): (0.335382601, 0.340489367, 0.340489367, 0.0, 3.443409865),
+    ("null13", Spec.NO_MISREPORT): (0.404765987, 0.0, 0.0, 0.0, 20.57537527),
+    ("null13", Spec.STRATEGIC): (0.404765993, 0.0, 0.0, 0.0, 20.57537535),
+    ("null58", Spec.UNRESTRICTED): (0.505463266, 0.360051810, 0.284310229, 0.0, 3.326300129),
+    ("null58", Spec.EQUAL_P): (0.470407606, 0.244816549, 0.244816549, 0.0, 4.717999140),
+    ("null58", Spec.NO_MISREPORT): (0.462001724, 0.0, 0.0, 0.0, 11.22592963),
+    ("null58", Spec.STRATEGIC): (0.462001732, 0.0, 0.0, 0.0, 11.22592960),
+    ("violating700", Spec.UNRESTRICTED): (0.496155457, 0.0, 0.192663401, 0.0, 4.234285225),
+    ("violating700", Spec.EQUAL_P): (0.549337291, 0.230350961, 0.230350961, 0.0, 8.774424822),
+    ("violating700", Spec.NO_MISREPORT): (0.514724121, 0.0, 0.0, 0.0, 12.92022684),
+    ("violating700", Spec.STRATEGIC): (0.516265654, 0.0, 0.0, 0.0, 13.13630357),
+}
+
+
+class TestGoldenFits:
+    @pytest.mark.parametrize("name", ["null11", "null12", "null13", "null58", "violating700"])
+    def test_step2_estimates_and_statistic(self, name):
+        if name.startswith("null"):
+            sample = null_le_sample(2000, int(name[4:]))
+        else:
+            sample = violating_le_sample(2000, 700)
+        for kind in Spec:
+            res = gmm_estimate(sample, MomentSpec(j_count=4, spec=kind))
+            *theta, t_stat = _GOLDEN[name, kind]
+            th = res.theta_hat
+            np.testing.assert_allclose(
+                [th.delta, th.p0, th.p1, th.p], theta, rtol=0.0, atol=1e-6, err_msg=str(kind)
+            )
+            assert res.t_stat == pytest.approx(t_stat, rel=1e-6), kind
+            assert res.converged, kind
 
 
 class TestJTest:
