@@ -390,6 +390,13 @@ def simulate_le(
       group_share: Pr(t = 1), strictly inside (0, 1).
       seed: anything numpy.random.default_rng accepts.
     """
+    sample, _, _ = _draw_le(params, control, n, group_share, seed)
+    return sample
+
+
+def _draw_le(params, control, n, group_share, seed):
+    """simulate_le's draws; also returns the latent traits x* and the
+    generator, positioned just past the sample's last draw."""
     if n < 2:
         raise DomainError("n must be >= 2")
     if not 0.0 < group_share < 1.0:
@@ -400,21 +407,19 @@ def simulate_le(
     t = (rng.random(n) < group_share).astype(np.int64)
     r = rng.choice(j + 1, size=n, p=control.probs)
     xstar = (rng.random(n) < params.delta).astype(np.int64)
+    y = r + np.where(t == 1, xstar, 0)
 
     if params.spec is Spec.STRATEGIC:
-        y = r + np.where(t == 1, xstar, 0)
         hide = (t == 1) & (xstar == 1) & (r == j) & (rng.random(n) < params.p)
         y = np.where(hide, j, y)
-        return LeSample(j_count=j, y=y, t=t)
-
-    y = r + np.where(t == 1, xstar, 0)
-    p_t = np.where(t == 1, params.p1, params.p0)
-    mis = rng.random(n) < p_t
-    # Replacement draw covers the group's full support {0..J+t}, truth included.
-    u = rng.random(n)
-    repl = np.floor(u * (j + 1 + t)).astype(np.int64)
-    y = np.where(mis, repl, y)
-    return LeSample(j_count=j, y=y, t=t)
+    else:
+        p_t = np.where(t == 1, params.p1, params.p0)
+        mis = rng.random(n) < p_t
+        # Replacement draw covers the group's full support {0..J+t}, truth included.
+        u = rng.random(n)
+        repl = np.floor(u * (j + 1 + t)).astype(np.int64)
+        y = np.where(mis, repl, y)
+    return LeSample(j_count=j, y=y, t=t), xstar, rng
 
 
 def simulate_modified_le(
@@ -431,23 +436,14 @@ def simulate_modified_le(
     Each control respondent's latent trait is drawn from the same delta as the
     treatment group; the direct answer misstates it with probability q1 for
     trait carriers (who deny) and q0 for non-carriers (who affirm). The
-    resulting sample carries x_direct (-1 on treatment rows).
+    resulting sample carries x_direct (-1 on treatment rows). The list
+    answers are simulate_le's for the same seed; the direct-question draws
+    continue its stream.
     """
     for name, v in (("q1", q1), ("q0", q0)):
         if not 0.0 <= v < 1.0:
             raise DomainError(f"{name}={v!r} must lie in [0, 1)")
-    base = simulate_le(params, control, n, group_share, seed)
-    # Re-derive the latent trait draws by replaying the stream, then extend it
-    # with the direct-question misreporting draws.
-    rng = np.random.default_rng(seed)
-    rng.random(n)  # group assignment draw
-    rng.choice(control.j_count + 1, size=n, p=control.probs)  # truthful counts
-    xstar = (rng.random(n) < params.delta).astype(np.int64)
-    if params.spec is not Spec.STRATEGIC:
-        rng.random(n)  # misreport flags
-        rng.random(n)  # replacement values
-    else:
-        rng.random(n)  # strategic hide flags
+    base, xstar, rng = _draw_le(params, control, n, group_share, seed)
     flip = rng.random(n)
     direct = np.where(xstar == 1, (flip >= q1).astype(np.int64), (flip < q0).astype(np.int64))
     direct = np.where(base.t == 1, -1, direct)

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
+from scipy.special import chdtrc, ndtr
 
 from ._optim import box_lattice
 from .errors import DomainError, IdentificationError
@@ -312,7 +313,7 @@ def gmm_estimate(
 
     t_stat = max(0.0, n * f2)
     dof = spec.dof
-    p_value = float(stats.chi2.sf(t_stat, dof)) if dof >= 1 else math.nan
+    p_value = float(chdtrc(dof, t_stat)) if dof >= 1 else math.nan
     return GmmResult(
         theta_hat=theta2,
         t_stat=t_stat,
@@ -433,7 +434,7 @@ def control_mean_ztest(sample: LeSample) -> ZTestResult:
         p = 1.0 if mean == target else 0.0
         return ZTestResult(statistic=z, p_value=p, mean=mean, se=se)
     z = (mean - target) / se
-    return ZTestResult(statistic=z, p_value=float(2.0 * stats.norm.sf(abs(z))), mean=mean, se=se)
+    return ZTestResult(statistic=z, p_value=float(2.0 * ndtr(-abs(z))), mean=mean, se=se)
 
 
 def mean_difference_empirical(sample: LeSample) -> tuple[float, float]:

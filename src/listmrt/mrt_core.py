@@ -288,7 +288,6 @@ def _finish(
     ordering: OrderingRule,
     method: Method,
     on_outside: str,
-    pre_clipped: bool = False,
     eigen_gap: float | None = None,
 ) -> MrtEstimate:
     """Shared tail of both estimators: class shares, third-question matrix,
@@ -319,7 +318,7 @@ def _finish(
     values = np.stack([m1[1, :], p2, m3[1, :]])  # 3x2: Pr(X_j=1|X*=k)
     all_probs = np.concatenate([values.ravel(), pi])
     outside = float(np.maximum(all_probs - 1.0, 0.0).max() - np.minimum(all_probs, 0.0).min())
-    clipped = pre_clipped
+    clipped = False
     if outside > 0.0:
         if on_outside == "error" and outside > CLIP_SLACK:
             raise EstimationError(

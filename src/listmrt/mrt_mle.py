@@ -21,8 +21,8 @@ import numpy as np
 from scipy import optimize
 from scipy.special import expit
 
-from .errors import DomainError, EstimationError, ListmrtError
-from .mrt_core import MrtJoint, OrderingRule, decompose_closed_form
+from .errors import DomainError, EstimationError
+from .mrt_core import OrderingRule
 
 logger = logging.getLogger(__name__)
 
@@ -147,18 +147,18 @@ class MleFit:
     small_sample: bool = False
 
 
-def _features(sample: MrtContinuousSample, dim: int) -> np.ndarray:
-    """Design matrix implied by the coefficient dimension.
-
-    dim == dim(z): slopes only; dim == 1 + dim(z): intercept plus slopes.
-    """
-    if dim == sample.dim_z:
-        return sample.z
-    if dim == sample.dim_z + 1:
-        return np.hstack([np.ones((sample.n, 1)), sample.z])
+def _design_matrix(z: np.ndarray, dim: int) -> np.ndarray:
+    """Design matrix of covariate rows z (shape (n, dim(z))) for coefficient
+    vectors of dimension dim: slopes only when dim == dim(z), an intercept
+    column followed by the slopes when dim == 1 + dim(z)."""
+    width = z.shape[1]
+    if dim == width:
+        return z
+    if dim == width + 1:
+        return np.hstack([np.ones((z.shape[0], 1)), z])
     raise DomainError(
-        f"coefficient dimension {dim} matches neither dim(z)={sample.dim_z} "
-        f"(slopes only) nor 1+dim(z) (intercept + slopes)"
+        f"coefficient dimension {dim} incompatible with z of width {width}: expected "
+        f"{width} (slopes only) or {width + 1} (intercept + slopes)"
     )
 
 
@@ -196,7 +196,7 @@ def _loglik_and_grad(vec: np.ndarray, feats: np.ndarray, xs, dim: int):
 
 def log_likelihood(params: MleParams, sample: MrtContinuousSample) -> float:
     """Mixture log-likelihood of the observed responses; always <= 0."""
-    feats = _features(sample, params.dim)
+    feats = _design_matrix(sample.z, params.dim)
     ll, _ = _loglik_terms(
         params.as_vector(), feats, (sample.x1, sample.x2, sample.x3), params.dim
     )
@@ -206,7 +206,7 @@ def log_likelihood(params: MleParams, sample: MrtContinuousSample) -> float:
 def score(params: MleParams, sample: MrtContinuousSample) -> np.ndarray:
     """Gradient of log_likelihood in the packed (rho, alpha0, alpha1, beta0,
     beta1, gamma0, gamma1) coordinate order, flattened."""
-    feats = _features(sample, params.dim)
+    feats = _design_matrix(sample.z, params.dim)
     _, grad = _loglik_and_grad(
         params.as_vector(), feats, (sample.x1, sample.x2, sample.x3), params.dim
     )
@@ -238,52 +238,9 @@ def _ordering_violated(params: MleParams, feats: np.ndarray, ordering: OrderingR
     return higher1 != ordering.class1_higher
 
 
-def _lattice_starts(n_starts: int, dim: int, seed) -> list[np.ndarray]:
-    starts = []
-    for mag, r in _START_GRID[: max(1, min(n_starts, len(_START_GRID)))]:
-        block = np.empty((len(_FIELDS), dim))
-        block[0, :] = r
-        for m in range(3):
-            block[1 + 2 * m, :] = -mag  # class-0 links
-            block[2 + 2 * m, :] = mag  # class-1 links
-        starts.append(block.ravel())
-    if n_starts > len(_START_GRID):
-        rng = np.random.default_rng(seed)
-        extra = rng.uniform(-3.0, 3.0, size=(n_starts - len(_START_GRID), len(_FIELDS) * dim))
-        starts.extend(extra)
-    return starts
-
-
-def _warm_start(sample: MrtContinuousSample, ordering: OrderingRule, dim: int):
-    """Discretize z into terciles, decompose each bin, fit links by least squares."""
-    z0 = sample.z[:, 0]
-    edges = np.quantile(z0, [1.0 / 3.0, 2.0 / 3.0])
-    bins = np.digitize(z0, edges)
-    centers = []
-    probs = []  # rows: [pi, p1(0), p1(1), p2(0), p2(1), p3(0), p3(1)]
-    for b in range(3):
-        mask = bins == b
-        if mask.sum() < 30:
-            return None
-        try:
-            joint = MrtJoint.from_records(sample.x1[mask], sample.x2[mask], sample.x3[mask])
-            est = decompose_closed_form(joint, 1, ordering)
-        except ListmrtError:  # a bin the closed form cannot decompose skips the warm start
-            return None
-        m = est.pr_x_given_xstar
-        probs.append([est.pr_xstar, m[0, 0], m[0, 1], m[1, 0], m[1, 1], m[2, 0], m[2, 1]])
-        centers.append(sample.z[mask].mean(axis=0))
-    probs = np.clip(np.array(probs), 1e-3, 1.0 - 1e-3)
-    logits = np.log(probs / (1.0 - probs))  # (3 bins, 7 series)
-    centers = np.array(centers)
-    design = centers if dim == sample.dim_z else np.hstack([np.ones((3, 1)), centers])
-    coef, *_ = np.linalg.lstsq(design, logits, rcond=None)  # (dim, 7)
-    block = np.empty((len(_FIELDS), dim))
-    block[0] = coef[:, 0]
-    for m_q in range(3):
-        block[1 + 2 * m_q] = coef[:, 1 + 2 * m_q]
-        block[2 + 2 * m_q] = coef[:, 2 + 2 * m_q]
-    return np.clip(block.ravel(), -_COEF_BOUND + 1.0, _COEF_BOUND - 1.0)
+def _starts(dim: int) -> list[np.ndarray]:
+    """One packed start per `_START_GRID` point, each field's vector constant."""
+    return [np.repeat([r, -mag, mag, -mag, mag, -mag, mag], dim) for mag, r in _START_GRID]
 
 
 def _hessian_se(vec: np.ndarray, feats: np.ndarray, xs, dim: int):
@@ -315,49 +272,32 @@ def _hessian_se(vec: np.ndarray, feats: np.ndarray, xs, dim: int):
 def mle_fit(
     sample: MrtContinuousSample,
     ordering: OrderingRule = OrderingRule(),
-    starts: int = 6,
-    seed=0,
     include_intercept: bool = True,
-    extra_starts=(),
 ) -> MleFit:
-    """Maximize the mixture log-likelihood from deterministic multiple starts.
+    """Maximize the mixture log-likelihood from six fixed starts.
 
-    Runs bounded quasi-Newton ascent (analytic gradient) from a fixed lattice
-    of `starts` points (the first six are a truth-agnostic grid; more are
-    seeded uniform draws), one warm start obtained by decomposing tercile
-    bins of z and fitting the links by least squares, and any `extra_starts`
-    (packed vectors or MleParams). Label swapping is resolved afterwards by
-    `ordering`. Standard errors come from the inverse observed information.
+    Runs bounded quasi-Newton ascent (L-BFGS-B, analytic gradient) from each
+    point of a truth-agnostic six-point lattice and keeps the highest
+    likelihood; no start depends on the data or on a seed, so the fit is a
+    deterministic function of the sample. Label swapping is resolved
+    afterwards by `ordering`. Standard errors come from the inverse observed
+    information.
 
     Raises EstimationError when no start converges.
     """
-    if starts < 1:
-        raise DomainError("starts must be >= 1")
     dim = sample.dim_z + (1 if include_intercept else 0)
-    feats = _features(sample, dim)
+    feats = _design_matrix(sample.z, dim)
     xs = (sample.x1, sample.x2, sample.x3)
 
     def objective(vec):
         ll, grad = _loglik_and_grad(vec, feats, xs, dim)
         return -ll, -grad
 
-    candidates = _lattice_starts(starts, dim, seed)
-    warm = _warm_start(sample, ordering, dim)
-    if warm is not None:
-        candidates.append(warm)
-    for extra in extra_starts:
-        vec = extra.as_vector() if isinstance(extra, MleParams) else np.asarray(extra, float)
-        if vec.size != len(_FIELDS) * dim:
-            raise DomainError(
-                f"extra start has {vec.size} entries, expected {len(_FIELDS) * dim}"
-            )
-        candidates.append(np.clip(vec, -_COEF_BOUND, _COEF_BOUND))
-
     bounds = [(-_COEF_BOUND, _COEF_BOUND)] * (len(_FIELDS) * dim)
     best = None
     best_f = np.inf
     any_converged = False
-    for x0 in candidates:
+    for x0 in _starts(dim):
         res = optimize.minimize(
             objective,
             x0,
@@ -373,7 +313,7 @@ def mle_fit(
             best = res
     if not any_converged:
         raise EstimationError(
-            f"no start converged in {len(candidates)} attempts; best objective {best_f:.6g}"
+            f"no start converged in {len(_START_GRID)} attempts; best objective {best_f:.6g}"
         )
     vec = np.asarray(best.x, dtype=float)
     params = MleParams.from_vector(vec, dim)
@@ -397,13 +337,5 @@ def mle_fit(
 
 def predict_share(params: MleParams, z) -> np.ndarray:
     """Point prediction Pr(X*=1|z) = g(z; rho) at the given covariate rows."""
-    z = np.atleast_2d(np.asarray(z, dtype=float))
-    if params.dim == z.shape[1]:
-        feats = z
-    elif params.dim == z.shape[1] + 1:
-        feats = np.hstack([np.ones((z.shape[0], 1)), z])
-    else:
-        raise DomainError(
-            f"coefficient dimension {params.dim} incompatible with z of width {z.shape[1]}"
-        )
+    feats = _design_matrix(np.atleast_2d(np.asarray(z, dtype=float)), params.dim)
     return expit(feats @ params.rho)

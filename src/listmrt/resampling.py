@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 
 import numpy as np
-from scipy import optimize, stats
-from scipy.special import expit, ndtri
+from scipy import optimize
+from scipy.special import expit, ndtr, ndtri
 
 from .errors import (
     DesignError,
@@ -46,7 +46,7 @@ from .mrt_core import (
     decompose_closed_form,
     decompose_extreme,
 )
-from .mrt_mle import MleParams, MrtContinuousSample, mle_fit
+from .mrt_mle import MleParams, MrtContinuousSample, _design_matrix, mle_fit
 
 logger = logging.getLogger(__name__)
 
@@ -188,8 +188,8 @@ def _bvn_cdf(h: float, k: float, r: float) -> float:
     """P(W1 <= h, W2 <= k) for standard bivariate normal with correlation r,
     via Gauss-Legendre quadrature of the correlation-integral representation.
     """
-    phi_h = stats.norm.cdf(h)
-    phi_k = stats.norm.cdf(k)
+    phi_h = ndtr(h)
+    phi_k = ndtr(k)
     if r == 0.0:
         return float(phi_h * phi_k)
     t = 0.5 * r * (_GL_NODES + 1.0)
@@ -258,7 +258,7 @@ def _draw_bits(rng: np.random.Generator, marginals: np.ndarray, chol: np.ndarray
     """Correlated Bernoulli rows: marginals (n, 3), one latent cholesky."""
     n = marginals.shape[0]
     w = rng.standard_normal((n, 3)) @ chol.T
-    return (stats.norm.cdf(w) <= marginals).astype(np.int64)
+    return (ndtr(w) <= marginals).astype(np.int64)
 
 
 def simulate_discrete_design(
@@ -296,12 +296,7 @@ def simulate_discrete_design(
 def _continuous_marginals(truth: MleParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pr(X*=1|z) and the (n, 3, 2) response marginals for slope-only or
     intercept+slopes truth over scalar z."""
-    if truth.dim == 1:
-        feats = z[:, None]
-    elif truth.dim == 2:
-        feats = np.column_stack([np.ones_like(z), z])
-    else:
-        raise DomainError("continuous designs use scalar z: truth must have dim 1 or 2")
+    feats = _design_matrix(z[:, None], truth.dim)
     share = expit(feats @ truth.rho)
     marg = np.empty((z.size, 3, 2))
     for m, (c0, c1) in enumerate(

@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -584,6 +587,15 @@ class TestTestLeCli:
                        "--spec", "no_misreport", "--seed", 5,
                        "--format", "json", "--output", report_path) == 0
         assert load_json_report(report_path)["metadata"]["version"] == listmrt.__version__
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about 0.4 s to import, paid by every command.
+        src = str(Path(listmrt.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = "import sys, listmrt.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     def test_rerun_with_same_seed_reproduces_tables(self, null_le_file, tmp_path):
         reports = []

@@ -278,6 +278,22 @@ class TestSimulate:
         se = np.sqrt(0.31 * 0.69 / direct.size)
         assert abs(rate - 0.31) < 4 * se
 
+    @pytest.mark.parametrize(
+        "params, expected",
+        [
+            (LeParams.unrestricted(0.5, 0.1, 0.2),
+             [0, -1, -1, 1, 0, -1, -1, -1, -1, -1, 0, 1, -1, 1, -1, -1]),
+            (LeParams.strategic(0.5, 0.3),
+             [1, -1, -1, 1, 0, -1, -1, -1, -1, -1, 0, 1, -1, 0, -1, -1]),
+        ],
+    )
+    def test_modified_direct_answers_pinned(self, params, expected):
+        # The direct-question flips continue simulate_le's stream, which
+        # draws two uniform blocks after the traits (misreport flags and
+        # replacement values) except under the strategic spec (one block).
+        sample = simulate_modified_le(params, SKEWED4, 16, 0.5, 2024, q1=0.3, q0=0.2)
+        assert sample.x_direct.tolist() == expected
+
     def test_preconditions(self):
         params = LeParams.no_misreport(0.3)
         with pytest.raises(DomainError):

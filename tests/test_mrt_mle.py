@@ -10,7 +10,7 @@ from scipy.special import expit
 
 from listmrt import mrt_mle
 from listmrt.cli import main
-from listmrt.errors import DomainError, ListmrtError
+from listmrt.errors import DomainError
 from listmrt.mrt_core import OrderingRule
 from listmrt.mrt_mle import (
     MleParams,
@@ -232,13 +232,29 @@ class TestMleFit:
         assert abs(up.loglik - dn.loglik) < 1e-7
         assert np.allclose(dn.params.rho, -up.params.rho, atol=1e-6)
 
-    def test_never_worse_than_supplied_start(self):
+    def test_never_worse_than_truth(self):
         s = simulate_slope_only(800, seed=23)
-        fit = mle_fit(
-            s, OrderingRule(question=1, class1_higher=True),
-            include_intercept=False, extra_starts=(TRUTH,),
-        )
+        fit = mle_fit(s, OrderingRule(question=1, class1_higher=True), include_intercept=False)
         assert fit.loglik >= log_likelihood(TRUTH, s) - 1e-9
+
+    def test_runs_the_six_fixed_starts(self, monkeypatch):
+        starts = []
+
+        class Recording:
+            def minimize(self, fun, x0, *args, **kwargs):
+                starts.append(np.array(x0))
+                return optimize.minimize(fun, x0, *args, **kwargs)
+
+        s = simulate_slope_only(2000, seed=41)
+        monkeypatch.setattr(mrt_mle, "optimize", Recording())
+        mle_fit(s, include_intercept=True)
+        expected = [
+            np.repeat([r, -mag, mag, -mag, mag, -mag, mag], 2)
+            for mag, r in [(0.5, 0.0), (0.5, 1.0), (0.5, -1.0), (2.5, 0.0), (2.5, 1.0), (2.5, -1.0)]
+        ]
+        assert len(starts) == len(expected)
+        for got, want in zip(starts, expected):
+            np.testing.assert_array_equal(got, want)
 
     def test_small_sample_flagged(self):
         s = simulate_slope_only(80, seed=29)
@@ -270,37 +286,6 @@ class TestMleFit:
             slope = float(getattr(fit.params, name)[1])
             se = float(fit.se[name][1])
             assert abs(slope) < 3.0 * se + 1e-6, f"{name} slope {slope:.3f} (se {se:.3f})"
-
-    def test_extra_start_shape_validated(self):
-        s = simulate_slope_only(120, seed=37)
-        with pytest.raises(DomainError, match="extra start"):
-            mle_fit(s, include_intercept=False, extra_starts=(np.zeros(3),))
-
-    def test_starts_validated(self):
-        s = simulate_slope_only(120, seed=37)
-        with pytest.raises(DomainError, match="starts"):
-            mle_fit(s, starts=0)
-
-
-class TestWarmStart:
-    @staticmethod
-    def _failing_closed_form(exc):
-        def fail(*args, **kwargs):
-            raise exc
-        return fail
-
-    def test_package_error_skips_the_warm_start(self, monkeypatch):
-        monkeypatch.setattr(
-            mrt_mle, "decompose_closed_form", self._failing_closed_form(ListmrtError("bin"))
-        )
-        assert mrt_mle._warm_start(simulate_slope_only(600, seed=3), OrderingRule(), 1) is None
-
-    def test_other_errors_propagate(self, monkeypatch):
-        monkeypatch.setattr(
-            mrt_mle, "decompose_closed_form", self._failing_closed_form(RuntimeError("bug"))
-        )
-        with pytest.raises(RuntimeError, match="bug"):
-            mrt_mle._warm_start(simulate_slope_only(600, seed=3), OrderingRule(), 1)
 
 
 class TestPredictShare:
