@@ -27,7 +27,10 @@ file writes are atomic (temporary file then rename). Significance markers:
 ``x`` for p<0.05, ``+`` for p<0.1, ``ok`` otherwise.
 
 Configuration may come from a flat ``key = value`` file (``--config``);
-explicit command-line flags override file values. Every stochastic
+explicit command-line flags override file values. Each key applies to the
+subcommands its RunConfig field names: only those register its flag, and a
+config file that sets it for any other subcommand is rejected with the
+number of its line. Every stochastic
 subcommand requires a seed, and the resolved semantic configuration is
 hashed into the report so a run can be reproduced exactly.
 """
@@ -35,6 +38,7 @@ hashed into the report so a run can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime as _dt
@@ -71,6 +75,7 @@ from .le_gmm import (
     modified_le_check,
 )
 from .mrt_core import (
+    Method,
     MrtJoint,
     OrderingRule,
     aggregate_unconditional,
@@ -79,7 +84,7 @@ from .mrt_core import (
     misreport_rates,
     rank_test,
 )
-from .mrt_mle import MrtContinuousSample, mle_fit
+from .mrt_mle import PARAM_ORDER, MrtContinuousSample, mle_fit
 from .resampling import (
     CONTINUOUS_TRUTH,
     DISCRETE_TRUTH,
@@ -99,7 +104,8 @@ SCHEMA_VERSION = "1.0"
 UNAVAILABLE = "unavailable"
 MARKER_LEGEND = "markers: x p<0.05, + p<0.1, ok p>=0.1"
 
-_SPEC_NAMES = ("unrestricted", "equal_p", "no_misreport", "strategic")
+_SPEC_NAMES = tuple(spec.value for spec in Spec)
+_MRT_ESTIMATORS = tuple(method.value for method in Method)
 _SIM_DESIGNS = ("le-null", "mrt-discrete", "mrt-survey", "mrt-continuous")
 _MC_DESIGNS = {
     "discrete": DesignKind.DISCRETE_Z,
@@ -118,7 +124,6 @@ _MRT_PARAMS = (
     "q1",
     "q0",
 )
-_MLE_ORDER = ("rho", "alpha1", "alpha0", "beta1", "beta0", "gamma1", "gamma0")
 
 # Synthetic survey design: five demographic covariates whose cells share the
 # same per-class response profiles, so every marginal subset remains an exact
@@ -269,24 +274,31 @@ _RENDERERS = {"json": render_json, "text": render_text, "csv": render_csv}
 
 def _atomic_write(path: str, content: str) -> None:
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(content)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            handle.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
 # Configuration
 
 
-def _key(default, help: str, *, flag: bool = False, choices: tuple = ()):
+def _key(default, help: str, applies_to: str, *, flag: bool = False, choices: tuple = ()):
     """Declare one configuration key as a RunConfig field.
 
     The field name is the key; its type hint fixes how a config-file value is
-    parsed; a `flag` key may also be set by a ``--name`` flag on the
-    subcommands that list it in build_parser (the others are file-only); a
-    nonempty `choices` lists the only allowed values.
+    parsed; `applies_to` names the subcommands the key applies to, separated
+    by spaces, or is ``all``; a `flag` key may also be set by a ``--name``
+    flag on those subcommands (the others are file-only); a nonempty
+    `choices` lists the only allowed values.
     """
-    return field(default=default, metadata={"help": help, "flag": flag, "choices": choices})
+    metadata = {"help": help, "applies_to": tuple(applies_to.split()), "flag": flag, "choices": choices}
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
@@ -294,37 +306,38 @@ class RunConfig:
     """Fully resolved parameters of one subcommand invocation.
 
     Every field after `subcommand` is one configuration key, declared only
-    here: the config-file parser, the command-line flags and the allowed-value
-    checks are derived from these fields. Values merge defaults, the optional
-    ``--config`` file, and explicit command-line flags (highest precedence).
-    `config_hash` covers every semantic field, so two runs with equal hashes
-    and seeds produce identical tables.
+    here: the config-file parser, the command-line flags of each subcommand
+    and the allowed-value checks are derived from these fields. Values merge
+    defaults, the optional ``--config`` file, and explicit command-line flags
+    (highest precedence). `config_hash` covers every semantic field, so two
+    runs with equal hashes and seeds produce identical tables; a key that does
+    not apply to the subcommand cannot be set, so it always holds its default.
     """
 
     subcommand: str
-    input: str | None = _key(None, "input CSV path", flag=True)
-    output: str | None = _key(None, "output path (report, or data CSV for simulate)", flag=True)
-    format: str = _key("text", "report format (default text)", flag=True, choices=tuple(_RENDERERS))
-    j_count: int | None = _key(None, "number of nonsensitive items J", flag=True)
-    spec: str | None = _key(None, "misreporting specification", flag=True)
-    ordering: OrderingRule = _key(OrderingRule(), "latent-class ordering rule, e.g. 1:higher", flag=True)
-    n_boot: int | None = _key(None, "bootstrap replications", flag=True)
-    seed: int | None = _key(None, "RNG seed (required for stochastic runs)", flag=True)
-    design: str | None = _key(None, "design name", flag=True)
-    n: int | None = _key(None, "sample size", flag=True)
-    reps: int | None = _key(None, "replications", flag=True)
-    sigma: float = _key(0.0, "within-cell response correlation parameter", flag=True)
-    mode: str = _key("auto", "estimate-mrt covariate mode", choices=("auto", "discrete", "continuous"))
-    jobs: int = _key(1, "montecarlo worker processes")
-    x2_fix: int = _key(1, "value of X2 that the MRT decomposition conditions on", choices=(0, 1))
-    direct_question: int = _key(1, "which question is the direct one", choices=(1, 2, 3))
-    affirmative_is_truth_for: int = _key(0, "latent class a direct yes is truthful for", choices=(0, 1))
-    bootstrap_estimator: str = _key("closed_form", "MRT bootstrap estimator", choices=("closed_form", "extreme"))
-    correlation_scale: str = _key("latent", "scale of sigma", choices=("latent", "realized"))
-    group_share: float = _key(0.5, "treatment share of simulated list experiments")
-    rank_n_boot: int = _key(999, "bootstrap draws of the estimate-mrt rank test")
-    include_intercept: bool = _key(True, "fit intercepts in the continuous-covariate MLE")
-    estimators: str | None = _key(None, "comma-separated montecarlo estimators")
+    input: str | None = _key(None, "input CSV path", "estimate-le test-le estimate-mrt", flag=True)
+    output: str | None = _key(None, "output path (report, or data CSV for simulate)", "all", flag=True)
+    format: str = _key("text", "report format (default text)", "all", flag=True, choices=tuple(_RENDERERS))
+    j_count: int | None = _key(None, "number of nonsensitive items J", "simulate estimate-le test-le", flag=True)
+    spec: str | None = _key(None, "misreporting specification", "estimate-le test-le", flag=True)
+    ordering: OrderingRule = _key(OrderingRule(), "latent-class ordering rule, e.g. 1:higher", "estimate-mrt", flag=True)
+    n_boot: int | None = _key(None, "bootstrap replications", "estimate-le test-le estimate-mrt", flag=True)
+    seed: int | None = _key(None, "RNG seed (required for stochastic runs)", "all", flag=True)
+    design: str | None = _key(None, "design name", "simulate montecarlo", flag=True)
+    n: int | None = _key(None, "sample size", "simulate montecarlo", flag=True)
+    reps: int | None = _key(None, "replications", "montecarlo", flag=True)
+    sigma: float = _key(0.0, "within-cell response correlation parameter", "simulate montecarlo", flag=True)
+    mode: str = _key("auto", "estimate-mrt covariate mode", "estimate-mrt", choices=("auto", "discrete", "continuous"))
+    jobs: int = _key(1, "montecarlo worker processes", "montecarlo")
+    x2_fix: int = _key(1, "value of X2 that the MRT decomposition conditions on", "estimate-mrt", choices=(0, 1))
+    direct_question: int = _key(1, "which question is the direct one", "estimate-mrt", choices=(1, 2, 3))
+    affirmative_is_truth_for: int = _key(0, "latent class a direct yes is truthful for", "estimate-mrt", choices=(0, 1))
+    bootstrap_estimator: str = _key("closed_form", "MRT bootstrap estimator", "estimate-mrt", choices=_MRT_ESTIMATORS)
+    correlation_scale: str = _key("latent", "scale of sigma", "simulate montecarlo", choices=("latent", "realized"))
+    group_share: float = _key(0.5, "treatment share of simulated list experiments", "simulate")
+    rank_n_boot: int = _key(999, "bootstrap draws of the estimate-mrt rank test", "estimate-mrt")
+    include_intercept: bool = _key(True, "fit intercepts in the continuous-covariate MLE", "estimate-mrt")
+    estimators: str | None = _key(None, "comma-separated montecarlo estimators", "montecarlo")
 
     def semantic_dict(self) -> dict:
         out = {}
@@ -386,7 +399,13 @@ def _parse_value(key: str, text: str):
     return text
 
 
-def _parse_config_file(path: str) -> dict:
+def _applies(key: str, subcommand: str) -> bool:
+    """Whether a config key applies to a subcommand, per its RunConfig field."""
+    applies_to = _KEYS[key].metadata["applies_to"]
+    return applies_to == ("all",) or subcommand in applies_to
+
+
+def _parse_config_file(path: str, subcommand: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -403,6 +422,8 @@ def _parse_config_file(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in _KEYS:
             raise LoadError(f"config line {lineno}: unknown key {key!r}")
+        if not _applies(key, subcommand):
+            raise LoadError(f"config line {lineno}: {key} does not apply to {subcommand}")
         try:
             values[key] = _parse_value(key, value)
         except ListmrtError as exc:
@@ -411,7 +432,7 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    values = _parse_config_file(args.config) if args.config else {}
+    values = _parse_config_file(args.config, args.subcommand) if args.config else {}
     for key in _KEYS:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
@@ -485,13 +506,11 @@ def _validate_config(cfg: RunConfig) -> None:
             cfg.n_boot is None or cfg.n_boot == 0 or cfg.n_boot >= 100,
             "n_boot must be 0 (skip bootstrap) or at least 100",
         )
-    elif sub == "montecarlo":
+    else:  # montecarlo
         _require(cfg.design in _MC_DESIGNS, f"design must be one of {', '.join(sorted(_MC_DESIGNS))}")
         _require(cfg.n is not None and cfg.n >= 2, "montecarlo requires --n >= 2")
         _require(cfg.reps is not None and cfg.reps >= 1, "montecarlo requires --reps >= 1")
         _require(cfg.seed is not None, "montecarlo is stochastic: --seed is required")
-    else:  # pragma: no cover - argparse restricts choices
-        raise LoadError(f"unknown subcommand {sub!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1043,7 +1062,7 @@ def _estimate_mrt_continuous(cfg: RunConfig, sample: MrtContinuousSample, z_name
         diagnostics["se_unavailable"] = ["observed information was not invertible"]
     coef_names = (["intercept"] if cfg.include_intercept else []) + z_names
     rows = []
-    for name in _MLE_ORDER:
+    for name in PARAM_ORDER:
         values = np.atleast_1d(getattr(fit.params, name))
         ses = None if fit.se is None else np.atleast_1d(fit.se[name])
         for i, value in enumerate(values):
@@ -1150,7 +1169,7 @@ def _estimate_mrt_discrete(cfg: RunConfig, cells: list, z_names: list) -> Report
     est_rows = []
     for label, _ in groups:
         joint = group_joints[label]
-        for est_name in ("closed_form", "extreme"):
+        for est_name in _MRT_ESTIMATORS:
             estimate = points.get((est_name, label))
             if estimate is None:
                 continue
@@ -1295,58 +1314,38 @@ def _base_metadata(cfg: RunConfig) -> dict:
 
 
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "estimate-le": _cmd_estimate_le,
-    "test-le": _cmd_test_le,
-    "estimate-mrt": _cmd_estimate_mrt,
-    "montecarlo": _cmd_montecarlo,
+    "simulate": (_cmd_simulate, "write synthetic datasets to CSV"),
+    "estimate-le": (_cmd_estimate_le, "GMM estimates for a list experiment"),
+    "test-le": (_cmd_test_le, "specification tests for a list experiment"),
+    "estimate-mrt": (_cmd_estimate_mrt, "latent-class estimates from three responses"),
+    "montecarlo": (_cmd_montecarlo, "replication tables for built-in designs"),
 }
 
 
 def run_subcommand(cfg: RunConfig) -> Report:
     """Dispatch one resolved configuration to its subcommand implementation."""
-    return _COMMANDS[cfg.subcommand](cfg)
-
-
-def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
-    """Register ``--config`` and the named flag keys, in the order given."""
-    for name in names:
-        if name == "config":
-            parser.add_argument("--config", help="flat key=value configuration file; flags override")
-            continue
-        f = _KEYS[name]
-        if not f.metadata["flag"]:
-            raise ValueError(f"{name} is a file-only key")
-        options = {"help": f.metadata["help"]}
-        if _TYPES[name] in (int, float):
-            options["type"] = _TYPES[name]
-        if f.metadata["choices"]:
-            options["choices"] = f.metadata["choices"]
-        parser.add_argument(f"--{name.replace('_', '-')}", **options)
+    return _COMMANDS[cfg.subcommand][0](cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser: per subcommand, ``--config`` and the flag keys that apply to it."""
     parser = argparse.ArgumentParser(
         prog="listmrt",
         description="List-experiment validity tests and multiple-response latent recovery.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("simulate", help="write synthetic datasets to CSV")
-    _add_common(p, "design", "n", "seed", "output", "j_count", "sigma", "format", "config")
-
-    p = sub.add_parser("estimate-le", help="GMM estimates for a list experiment")
-    _add_common(p, "input", "output", "format", "config", "j_count", "spec", "n_boot", "seed")
-
-    p = sub.add_parser("test-le", help="specification tests for a list experiment")
-    _add_common(p, "input", "output", "format", "config", "j_count", "spec", "n_boot", "seed")
-
-    p = sub.add_parser("estimate-mrt", help="latent-class estimates from three responses")
-    _add_common(p, "input", "output", "format", "config", "ordering", "n_boot", "seed")
-
-    p = sub.add_parser("montecarlo", help="replication tables for built-in designs")
-    _add_common(p, "design", "n", "reps", "sigma", "seed", "output", "format", "config")
-
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="flat key=value configuration file; flags override")
+        for key, f in _KEYS.items():
+            if not (f.metadata["flag"] and _applies(key, name)):
+                continue
+            options = {"help": f.metadata["help"]}
+            if _TYPES[key] in (int, float):
+                options["type"] = _TYPES[key]
+            if f.metadata["choices"]:
+                options["choices"] = f.metadata["choices"]
+            p.add_argument(f"--{key.replace('_', '-')}", **options)
     return parser
 
 

@@ -287,11 +287,10 @@ def _finish(
     x2_fix: int,
     ordering: OrderingRule,
     method: Method,
-    on_outside: str,
-    eigen_gap: float | None = None,
 ) -> MrtEstimate:
     """Shared tail of both estimators: class shares, third-question matrix,
-    label ordering, and range handling."""
+    label ordering, and range handling (beyond CLIP_SLACK the closed form
+    raises; the extreme estimator always clamps)."""
     det = m1[0, 0] * m1[1, 1] - m1[0, 1] * m1[1, 0]
     if abs(det) < 1e-12:
         raise DecompositionError("recovered M_{X1|X*} is singular; classes indistinguishable")
@@ -320,7 +319,7 @@ def _finish(
     outside = float(np.maximum(all_probs - 1.0, 0.0).max() - np.minimum(all_probs, 0.0).min())
     clipped = False
     if outside > 0.0:
-        if on_outside == "error" and outside > CLIP_SLACK:
+        if method is Method.CLOSED_FORM and outside > CLIP_SLACK:
             raise EstimationError(
                 f"recovered probabilities leave [0,1] by {outside:.3g} "
                 f"(> slack {CLIP_SLACK}); use the extreme estimator"
@@ -333,7 +332,7 @@ def _finish(
         pr_x_given_xstar=values,
         method=method,
         clipped=clipped,
-        eigen_gap=float(abs(lams[1] - lams[0])) if eigen_gap is None else eigen_gap,
+        eigen_gap=float(abs(lams[1] - lams[0])),
     )
 
 
@@ -372,7 +371,7 @@ def decompose_closed_form(
     if np.abs(sums).min() < 1e-12:
         raise DecompositionError("an eigenvector has zero column sum; cannot normalize")
     m1 = vecs / sums[None, :]
-    return _finish(m1, lams, mats, x2_fix, ordering, Method.CLOSED_FORM, on_outside="error")
+    return _finish(m1, lams, mats, x2_fix, ordering, Method.CLOSED_FORM)
 
 
 def _extreme_objective(a: np.ndarray):
@@ -440,17 +439,7 @@ def decompose_extreme(
     p10, p11, p20, p21 = x
     m1 = np.array([[1.0 - p10, 1.0 - p11], [p10, p11]])
     lams = np.array([p20, p21])
-    est = _finish(
-        m1,
-        lams,
-        mats,
-        x2_fix,
-        ordering,
-        Method.EXTREME,
-        on_outside="clamp",
-        eigen_gap=float(abs(p21 - p20)),
-    )
-    return est
+    return _finish(m1, lams, mats, x2_fix, ordering, Method.EXTREME)
 
 
 def aggregate_unconditional(estimates) -> float:

@@ -33,6 +33,8 @@ _FD_STEP = 1e-5
 _START_GRID = [(0.5, 0.0), (0.5, 1.0), (0.5, -1.0), (2.5, 0.0), (2.5, 1.0), (2.5, -1.0)]
 
 _FIELDS = ("rho", "alpha0", "alpha1", "beta0", "beta1", "gamma0", "gamma1")
+# The order in which reports and Monte Carlo tables list the parameters.
+PARAM_ORDER = ("rho", "alpha1", "alpha0", "beta1", "beta0", "gamma1", "gamma0")
 
 
 @dataclass(frozen=True, eq=False)

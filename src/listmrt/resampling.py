@@ -40,13 +40,14 @@ from .errors import (
 )
 from .le_core import LeSample
 from .mrt_core import (
+    Method,
     MrtJoint,
     MrtLatent,
     OrderingRule,
     decompose_closed_form,
     decompose_extreme,
 )
-from .mrt_mle import MleParams, MrtContinuousSample, _design_matrix, mle_fit
+from .mrt_mle import PARAM_ORDER, MleParams, MrtContinuousSample, _design_matrix, mle_fit
 
 logger = logging.getLogger(__name__)
 
@@ -430,9 +431,8 @@ def one_sided_pvalue(estimates, null_value: float, direction: Direction) -> floa
 # ---------------------------------------------------------------------------
 # Monte Carlo harness
 
-_DISCRETE_ESTIMATORS = ("closed_form", "extreme")
+_DISCRETE_ESTIMATORS = tuple(method.value for method in Method)
 _CONTINUOUS_ESTIMATORS = ("mle",)
-_MLE_PARAM_ORDER = ("rho", "alpha1", "alpha0", "beta1", "beta0", "gamma1", "gamma0")
 
 
 def _mc_rep(args):
@@ -464,7 +464,7 @@ def _mc_rep(args):
             except ListmrtError:
                 out[name] = None
                 continue
-            out[name] = [float(getattr(fit.params, f)[0]) for f in _MLE_PARAM_ORDER]
+            out[name] = [float(getattr(fit.params, f)[0]) for f in PARAM_ORDER]
     return out
 
 
@@ -477,7 +477,7 @@ def _mc_truth_rows(design: McDesign) -> list[tuple[str, float]]:
             ("pr_xstar_z0", t.cell0.pr_xstar),
             ("pr_xstar_z1", t.cell1.pr_xstar),
         ]
-    return [(f, float(getattr(design.truth, f)[0])) for f in _MLE_PARAM_ORDER]
+    return [(f, float(getattr(design.truth, f)[0])) for f in PARAM_ORDER]
 
 
 def run_monte_carlo(design: McDesign, estimators=None, n_jobs: int = 1) -> list[McRow]:

@@ -21,11 +21,14 @@ from listmrt.cli import (
     Report,
     RunConfig,
     Table,
+    _COMMANDS,
     _KEYS,
     _TYPES,
+    _applies,
     _fmt,
     build_parser,
     format_ordering,
+    _parse_config_file,
     _resolve_config,
     load_le_csv,
     load_mrt_csv,
@@ -276,6 +279,23 @@ CONFIG_SAMPLES = {
     "estimators": ("mle", "mle"),
 }
 
+# A runnable config-file base per subcommand, for a key set on a subcommand it
+# applies to; the key's own line comes last and wins.
+CONFIG_BASES = {
+    "montecarlo": "design = discrete\nn = 100\nreps = 2\nseed = 1\n",
+    "estimate-mrt": "input = x.csv\nseed = 1\n",
+    "estimate-le": "input = x.csv\nj_count = 4\n",
+    "simulate": "design = mrt-discrete\nn = 100\nseed = 1\noutput = x.csv\n",
+}
+
+
+def home_subcommand(key):
+    """The first subcommand in CONFIG_BASES that the key applies to."""
+    return next(sub for sub in CONFIG_BASES if _applies(key, sub))
+
+
+PAIRS = [(key, sub) for key in _KEYS for sub in _COMMANDS]
+
 
 class TestConfiguration:
     def test_ordering_parse(self):
@@ -293,13 +313,53 @@ class TestConfiguration:
         "key,text,expected", [(key, *sample) for key, sample in CONFIG_SAMPLES.items()]
     )
     def test_every_key_loads_from_a_config_file(self, tmp_path, key, text, expected):
-        # A runnable montecarlo base; the key's own line comes last and wins.
-        base = "design = discrete\nn = 100\nreps = 2\nseed = 1\n"
-        cfg_file = write(tmp_path / "run.cfg", f"{base}{key} = {text}\n")
-        cfg = resolve("montecarlo", "--config", cfg_file)
+        sub = home_subcommand(key)
+        cfg_file = write(tmp_path / "run.cfg", f"{CONFIG_BASES[sub]}{key} = {text}\n")
+        cfg = resolve(sub, "--config", cfg_file)
         value = getattr(cfg, key)
         assert value == expected and type(value) is type(expected)
-        assert value != getattr(RunConfig(subcommand="montecarlo"), key)
+        assert value != getattr(RunConfig(subcommand=sub), key)
+
+    @pytest.mark.parametrize("key,sub", [pair for pair in PAIRS if _applies(*pair)])
+    def test_every_applicable_pair_parses_with_its_type(self, tmp_path, key, sub):
+        text, expected = CONFIG_SAMPLES[key]
+        cfg_file = write(tmp_path / "run.cfg", f"# {sub}\n{key} = {text}\n")
+        value = _parse_config_file(cfg_file, sub)[key]
+        assert value == expected and type(value) is type(expected)
+
+    @pytest.mark.parametrize("key,sub", [pair for pair in PAIRS if not _applies(*pair)])
+    def test_key_that_does_not_apply_is_rejected(self, tmp_path, key, sub):
+        text, _ = CONFIG_SAMPLES[key]
+        cfg_file = write(tmp_path / "run.cfg", f"# {sub}\n{key} = {text}\n")
+        with pytest.raises(LoadError, match=f"^config line 2: {key} does not apply to {sub}$"):
+            resolve(sub, "--config", cfg_file)
+
+    def test_applicability_table(self):
+        every = {"output", "format", "seed"}
+        mrt = {"input", "ordering", "n_boot", "mode", "x2_fix", "direct_question",
+               "affirmative_is_truth_for", "bootstrap_estimator", "rank_n_boot", "include_intercept"}
+        le = {"input", "j_count", "spec", "n_boot"}
+        expected = {
+            "simulate": every | {"design", "n", "j_count", "sigma", "correlation_scale", "group_share"},
+            "estimate-le": every | le,
+            "test-le": every | le,
+            "estimate-mrt": every | mrt,
+            "montecarlo": every | {"design", "n", "reps", "sigma", "correlation_scale", "jobs", "estimators"},
+        }
+        assert {sub: {k for k in _KEYS if _applies(k, sub)} for sub in _COMMANDS} == expected
+        assert sum(_applies(*pair) for pair in PAIRS) == 46 and len(PAIRS) == 115
+
+    def test_config_line_checks_run_in_order(self, tmp_path):
+        # malformed line, then unknown key, then a key that does not apply, then its value
+        for text, message in [
+            ("frobnicate zero", "expected 'key = value'"),
+            ("frobnicate = zero", "unknown key 'frobnicate'"),
+            ("x2_fix = zero", "x2_fix does not apply to montecarlo"),
+            ("n = zero", "n must be an integer"),
+        ]:
+            cfg_file = write(tmp_path / "run.cfg", f"seed = 1\n{text}\n")
+            with pytest.raises(LoadError, match=f"config line 2: {message}"):
+                resolve("montecarlo", "--config", cfg_file)
 
     def test_config_samples_cover_every_key(self):
         assert list(CONFIG_SAMPLES) == list(_KEYS) and len(_KEYS) == 23
@@ -312,29 +372,29 @@ class TestConfiguration:
     def test_malformed_typed_value_names_the_line(self, tmp_path, key, text, message):
         cfg_file = write(tmp_path / "run.cfg", f"seed = 1\n{key} = {text}\n")
         with pytest.raises(LoadError, match=f"config line 2: {message}"):
-            resolve("montecarlo", "--config", cfg_file)
+            resolve(home_subcommand(key), "--config", cfg_file)
 
     def test_disallowed_value_rejected(self, tmp_path):
         cfg_file = write(tmp_path / "run.cfg", "x2_fix = 2\n")
         with pytest.raises(LoadError, match="x2_fix must be one of 0/1, got 2"):
-            resolve("montecarlo", "--config", cfg_file, "--design", "discrete",
-                    "--n", 100, "--reps", 2, "--seed", 1)
+            resolve("estimate-mrt", "--config", cfg_file, "--input", "x.csv", "--seed", 1)
 
     def test_flag_keys_are_the_registered_flags(self):
         parser = build_parser()
         subparsers = next(a for a in parser._actions if a.dest == "subcommand").choices
-        registered = {
-            action.dest for sub in subparsers.values() for action in sub._actions
-        } - {"help", "config"}
-        flags = {name for name, f in _KEYS.items() if f.metadata["flag"]}
-        assert registered == flags
+        assert list(subparsers) == list(_COMMANDS)
+        for sub, subparser in subparsers.items():
+            registered = {action.dest for action in subparser._actions} - {"help", "config"}
+            flags = {name for name, f in _KEYS.items() if f.metadata["flag"] and _applies(name, sub)}
+            assert registered == flags, sub
 
     def test_readme_lists_every_key_once(self):
-        # README's key table must match the RunConfig declaration: name, type, default.
+        # README's key table must match the RunConfig declaration: name, type,
+        # default and the subcommands the key applies to.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
         listed = [
-            tuple(cell.strip().strip("`") for cell in line.split("|")[1:4])
+            tuple(cell.strip().replace("`", "") for cell in line.split("|")[1:5])
             for line in section.splitlines() if line.startswith("| `")
         ]
         type_names = {int: "int", float: "float", bool: "bool", str: "str", OrderingRule: "ordering"}
@@ -347,7 +407,8 @@ class TestConfiguration:
             return str(default).lower()
 
         expected = [
-            (name, type_names[_TYPES[name]], spelled(f.default)) for name, f in _KEYS.items()
+            (name, type_names[_TYPES[name]], spelled(f.default), ", ".join(f.metadata["applies_to"]))
+            for name, f in _KEYS.items()
         ]
         assert listed == expected
 
@@ -508,6 +569,15 @@ class TestSimulateCli:
                        "--seed", 1, "--output", tmp_path / "x.csv")
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, capsys):
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        code = run_cli("simulate", "--design", "le-null", "--j-count", 4, "--n", 50,
+                       "--seed", 1, "--output", outdir)
+        assert code == 1
+        assert "Is a directory" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.tmp.*")) == []
 
     def test_sigma_rejected_for_le_null(self, tmp_path, capsys):
         code = run_cli("simulate", "--design", "le-null", "--j-count", 4, "--n", 10,
