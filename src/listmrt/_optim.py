@@ -1,4 +1,9 @@
-"""Deterministic multi-start minimization helpers shared by the estimators."""
+"""Deterministic multi-start minimization helpers.
+
+`le_gmm` uses `box_lattice` for its starting points. No estimator calls
+`multistart_nelder_mead` any more; it stays because `bench/layers.py` wraps it
+by name when tracing.
+"""
 
 from __future__ import annotations
 

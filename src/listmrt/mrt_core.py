@@ -12,6 +12,12 @@ Provides the matrix construction, a bootstrap rank test (invertibility
 precondition), the closed-form eigendecomposition estimator, the
 box-constrained extreme estimator, cell aggregation, and the mapping from
 conditional response probabilities to misreporting rates.
+
+The extreme estimator needs no general-purpose optimizer. Where the closed
+form already lies in its box it returns that exact fit. Elsewhere it solves
+the fit over the second question's probabilities exactly (a two-variable box
+least-squares problem) and profiles the first question's probabilities on a
+fixed grid polished by Gauss-Newton steps.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import box_lattice, multistart_nelder_mead
 from .errors import (
     DecompositionError,
     DomainError,
@@ -336,23 +341,8 @@ def _finish(
     )
 
 
-def decompose_closed_form(
-    joint: MrtJoint, x2_fix: int, ordering: OrderingRule = OrderingRule()
-) -> MrtEstimate:
-    """Global, optimization-free recovery of the latent structure.
-
-    Eigendecomposes A = M_{X1,x2,X3} M_{X1,X3}^{-1} analytically; eigenvalues
-    are Pr(X2=x2_fix | X*=k) and column-sum-normalized eigenvectors form
-    M_{X1|X*}. Finite samples can push recovered probabilities slightly
-    outside [0,1]; within CLIP_SLACK they are clamped (clipped=true), beyond
-    it an EstimationError directs the caller to decompose_extreme.
-
-    Raises DecompositionError for complex eigenvalues, NearDegenerateError
-    when the eigenvalue gap is below EIGEN_GAP_TOL (the fixed question does
-    not separate the classes), EstimationError for unrecoverable ranges.
-    """
-    mats = build_matrices(joint, x2_fix)
-    a = _transfer_matrix(mats)
+def _closed_form_pieces(a: np.ndarray, x2_fix: int) -> tuple[np.ndarray, np.ndarray]:
+    """M_{X1|X*} (column-sum-normalized eigenvectors of A) and the eigenvalues."""
     lams, vecs = _eigen_2x2(a)
     gap = float(abs(lams[1] - lams[0]))
     # The discriminant carries absolute rounding error of order eps*scale^2,
@@ -370,37 +360,213 @@ def decompose_closed_form(
     sums = vecs.sum(axis=0)
     if np.abs(sums).min() < 1e-12:
         raise DecompositionError("an eigenvector has zero column sum; cannot normalize")
-    m1 = vecs / sums[None, :]
+    return vecs / sums[None, :], lams
+
+
+def decompose_closed_form(
+    joint: MrtJoint, x2_fix: int, ordering: OrderingRule = OrderingRule()
+) -> MrtEstimate:
+    """Global, optimization-free recovery of the latent structure.
+
+    Eigendecomposes A = M_{X1,x2,X3} M_{X1,X3}^{-1} analytically; eigenvalues
+    are Pr(X2=x2_fix | X*=k) and column-sum-normalized eigenvectors form
+    M_{X1|X*}. Finite samples can push recovered probabilities slightly
+    outside [0,1]; within CLIP_SLACK they are clamped (clipped=true), beyond
+    it an EstimationError directs the caller to decompose_extreme.
+
+    Raises DecompositionError for complex eigenvalues, NearDegenerateError
+    when the eigenvalue gap is below EIGEN_GAP_TOL (the fixed question does
+    not separate the classes), EstimationError for unrecoverable ranges.
+    """
+    mats = build_matrices(joint, x2_fix)
+    m1, lams = _closed_form_pieces(_transfer_matrix(mats), x2_fix)
     return _finish(m1, lams, mats, x2_fix, ordering, Method.CLOSED_FORM)
 
 
-def _extreme_objective(a: np.ndarray):
-    a00, a01, a10, a11 = float(a[0, 0]), float(a[0, 1]), float(a[1, 0]), float(a[1, 1])
+# The extreme estimator keeps |p10 - p11| and |p20 - p21| at least this far
+# apart: M stays invertible and the two classes stay distinct.
+MIN_SEPARATION = 1e-6
 
-    def obj(x) -> float:
-        p10, p11, p20, p21 = float(x[0]), float(x[1]), float(x[2]), float(x[3])
-        d1 = p11 - p10
-        d2 = p21 - p20
-        pen = 0.0
-        if abs(d1) < 1e-6:
-            pen += 1e6 + 1e12 * (1e-6 - abs(d1))
-        if abs(d2) < 1e-6:
-            pen += 1e6 + 1e12 * (1e-6 - abs(d2))
-        if pen:
-            return pen
-        # M D M^-1 for M = [[1-p10, 1-p11], [p10, p11]], D = diag(p20, p21)
-        q0, q1 = 1.0 - p10, 1.0 - p11
-        b00 = (q0 * p20 * p11 - q1 * p21 * p10) / d1
-        b01 = q0 * q1 * (p21 - p20) / d1
-        b10 = p10 * p11 * (p20 - p21) / d1
-        b11 = (p11 * p21 * q0 - p10 * p20 * q1) / d1
-        r0 = a00 - b00
-        r1 = a01 - b01
-        r2 = a10 - b10
-        r3 = a11 - b11
-        return r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
 
-    return obj
+def _projector(p10, p11) -> np.ndarray:
+    """P1 = M e2 e2' M^{-1}, so that M diag(p20, p21) M^{-1} = p20 I + (p21 - p20) P1.
+
+    M = [[1-p10, 1-p11], [p10, p11]]; broadcasts over arrays of (p10, p11)
+    and returns shape (..., 2, 2).
+    """
+    p10, p11 = np.asarray(p10, dtype=float), np.asarray(p11, dtype=float)
+    u = np.stack([1.0 - p11, p11], axis=-1)
+    v = np.stack([-p10, 1.0 - p10], axis=-1)
+    return u[..., :, None] * v[..., None, :] / (p11 - p10)[..., None, None]
+
+
+def _extreme_objective(a: np.ndarray, p10, p11, p20, p21) -> np.ndarray:
+    """||A - M diag(p20, p21) M^{-1}||_F^2, broadcast over parameter arrays.
+
+    Evaluated as A - p20 I - (p21 - p20) P1, which stays accurate near the
+    separation floor; expanding M diag(p20, p21) M^{-1} entrywise divides a
+    difference of nearly equal products by p11 - p10 there.
+    """
+    p20 = np.asarray(p20, dtype=float)[..., None, None]
+    p21 = np.asarray(p21, dtype=float)[..., None, None]
+    r = a - p20 * np.eye(2) - (p21 - p20) * _projector(p10, p11)
+    return (r * r).sum(axis=(-2, -1))
+
+
+def _separate(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Move hi up by one ulp (lo down where hi is 1) wherever rounding left
+    hi - lo just below MIN_SEPARATION."""
+    short = hi - lo < MIN_SEPARATION
+    at_top = hi >= 1.0
+    return (
+        np.where(short & at_top, np.nextafter(lo, -np.inf), lo),
+        np.where(short & ~at_top, np.nextafter(hi, np.inf), hi),
+    )
+
+
+# Boundary of the inner feasible set {0 <= p20, p21 <= 1, |p21 - p20| >=
+# MIN_SEPARATION} in (s, w) = (p20, p21 - p20): six segments, each a start
+# (s0, w0) and a direction (ds, dw) traversed for tau in [0, 1].
+_SEP = MIN_SEPARATION
+_SEGMENTS = np.array(
+    [
+        [0.0, _SEP, 0.0, 1.0 - _SEP],  # p20 = 0
+        [1.0, -_SEP, 0.0, _SEP - 1.0],  # p20 = 1
+        [_SEP, -_SEP, 1.0 - _SEP, _SEP - 1.0],  # p21 = 0
+        [0.0, 1.0, 1.0 - _SEP, _SEP - 1.0],  # p21 = 1
+        [0.0, _SEP, 1.0 - _SEP, 0.0],  # p21 - p20 = MIN_SEPARATION
+        [_SEP, -_SEP, 1.0 - _SEP, 0.0],  # p20 - p21 = MIN_SEPARATION
+    ]
+).T[:, :, None]
+
+
+def _inner_fit(a: np.ndarray, p10: np.ndarray, p11: np.ndarray):
+    """Exact minimum over (p20, p21) of the extreme objective at each (p10, p11).
+
+    For fixed (p10, p11) the fit p20 I + w P1 is linear in (s, w) = (p20,
+    p21 - p20), so the objective is a convex quadratic and the feasible set is
+    two triangles. The minimum is the solution of the 2x2 normal equations
+    when that is feasible, else the best clipped minimum along the six
+    boundary segments. Returns (objective, p20, p21, free), where free holds
+    the (s, w) directions the minimum may move along without leaving its face
+    (shape (N, 2, 2), zero rows where a constraint binds).
+    """
+    proj = _projector(p10, p11)
+    pp = (proj * proj).sum(axis=(-2, -1))
+    tr_a = a[0, 0] + a[1, 1]
+    ap = (a * proj).sum(axis=(-2, -1))
+    # Normal equations in (s, w): <I,I> = 2, <I,P1> = tr P1 = 1, <P1,P1> = pp.
+    det = 2.0 * pp - 1.0
+    s_int = (tr_a * pp - ap) / det
+    w_int = (2.0 * ap - tr_a) / det
+    s0, w0, ds, dw = _SEGMENTS
+    num = ds * tr_a + dw * ap - (2.0 * s0 * ds + s0 * dw + w0 * ds + w0 * dw * pp)
+    tau = np.clip(num / (2.0 * ds * ds + 2.0 * ds * dw + dw * dw * pp), 0.0, 1.0)
+    s = np.clip(np.concatenate([s_int[None], s0 + tau * ds]), 0.0, 1.0)
+    t = np.clip(np.concatenate([(s_int + w_int)[None], s0 + w0 + tau * (ds + dw)]), 0.0, 1.0)
+    up = t >= s
+    lo, hi = _separate(np.where(up, s, t), np.where(up, t, s))
+    s, t = np.where(up, lo, hi), np.where(up, hi, lo)
+    f = _extreme_objective(a, p10, p11, s, t)
+    interior_ok = (
+        (s_int >= 0.0) & (s_int <= 1.0) & (s_int + w_int >= 0.0)
+        & (s_int + w_int <= 1.0) & (np.abs(w_int) >= MIN_SEPARATION)
+    )
+    f[0] = np.where(interior_ok, f[0], np.inf)
+    best = f.argmin(axis=0)
+    idx = np.arange(f.shape[1])
+    free = np.zeros((idx.size, 2, 2))
+    free[best == 0] = np.eye(2)
+    seg = np.maximum(best - 1, 0)
+    moving = (best > 0) & (tau[seg, idx] > 0.0) & (tau[seg, idx] < 1.0)
+    free[moving, 0, 0] = ds[seg[moving], 0]
+    free[moving, 0, 1] = dw[seg[moving], 0]
+    return f[best, idx], s[best, idx], t[best, idx], free
+
+
+def _outer_points(p10: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p10, p11) for outer coordinates (p10, d = p11 - p10), projected onto
+    0 <= p10, p11 <= 1, p11 - p10 >= MIN_SEPARATION."""
+    d = np.clip(d, MIN_SEPARATION, 1.0)
+    p10 = np.clip(p10, 0.0, 1.0 - d)
+    return _separate(p10, np.minimum(p10 + d, 1.0))
+
+
+# Profile grid: every pair p10 < p11 of a 101-point lattice on [0, 1].
+_GRID_P10, _GRID_P11 = np.linspace(0.0, 1.0, 101)[np.array(np.triu_indices(101, 1))]
+# Backtracking lengths and the tangents of the three outer faces (d at the
+# floor, p10 = 0, p11 = 1) in (p10, d) coordinates.
+_STEP_LENGTHS = 2.0 ** -np.arange(40.0)
+_FACE_TANGENTS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]])
+_POLISH_ITERATIONS = 60
+
+
+def _gauss_newton_steps(a, p10, p11, p20, p21, free) -> np.ndarray:
+    """Variable-projection Gauss-Newton steps in (p10, d) for one point: the
+    full step and one restricted to each outer face's tangent."""
+    d = p11 - p10
+    w = p21 - p20
+    proj = _projector(p10, p11)
+    u = np.array([1.0 - p11, p11])
+    v = np.array([-p10, 1.0 - p10])
+    d_p11 = (np.outer([-1.0, 1.0], v) - proj) / d
+    d_p10 = (np.outer(u, [-1.0, -1.0]) + proj) / d
+    # Columns: the fit's derivative in p10 at fixed d, and in d at fixed p10,
+    # with the inner coefficients held; the part the free inner directions can
+    # absorb is projected out (Kaufman's variable-projection Jacobian).
+    jac = -w * np.stack([(d_p10 + d_p11).ravel(), d_p11.ravel()], axis=1)
+    basis = np.stack([(fs * np.eye(2) + fw * proj).ravel() for fs, fw in free], axis=1)
+    jac = jac - basis @ np.linalg.lstsq(basis, jac, rcond=None)[0]
+    resid = (a - p20 * np.eye(2) - w * proj).ravel()
+    scale = np.linalg.norm(jac, axis=0)
+    scale[scale == 0.0] = 1.0
+    steps = [np.linalg.lstsq(jac / scale, -resid, rcond=None)[0] / scale]
+    for tangent in _FACE_TANGENTS:
+        jt = jac @ tangent
+        if jt @ jt > 0.0:
+            steps.append(-tangent * (jt @ resid) / (jt @ jt))
+    return np.array(steps)
+
+
+def _extreme_profile(a: np.ndarray) -> np.ndarray:
+    """Minimizer (p10, p11, p20, p21), p10 < p11, of the extreme objective.
+
+    The label swap maps (p10, p11, p20, p21) to (p11, p10, p21, p20) with the
+    same fit, so only p10 < p11 is searched. The inner problem over (p20, p21)
+    is solved exactly (`_inner_fit`); the profile over (p10, p11) is scanned
+    on a fixed grid, and its best point is polished by projected Gauss-Newton steps with backtracking, each accepted
+    only if it lowers the objective. Deterministic.
+    """
+    f, p20, p21, free = _inner_fit(a, _GRID_P10, _GRID_P11)
+    j = int(f.argmin())
+    x = np.array([_GRID_P10[j], _GRID_P11[j], p20[j], p21[j]])
+    best, free = f[j], free[j]
+    for _ in range(_POLISH_ITERATIONS):
+        steps = _gauss_newton_steps(a, *x, free)
+        trial = (steps[:, None, :] * _STEP_LENGTHS[:, None]).reshape(-1, 2)
+        c10, c11 = _outer_points(x[0] + trial[:, 0], x[1] - x[0] + trial[:, 1])
+        cf, c20, c21, cfree = _inner_fit(a, c10, c11)
+        k = int(cf.argmin())
+        if not cf[k] < best:
+            break
+        x = np.array([c10[k], c11[k], c20[k], c21[k]])
+        best, free = cf[k], cfree[k]
+    return x
+
+
+def _extreme_fit(a: np.ndarray, x2_fix: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M_{X1|X*}, (p20, p21)) minimizing the extreme objective for A."""
+    try:
+        m1, lams = _closed_form_pieces(a, x2_fix)
+    except DecompositionError:
+        pass
+    else:
+        x = np.array([m1[1, 0], m1[1, 1], lams[0], lams[1]])
+        in_box = bool(np.all((x >= 0.0) & (x <= 1.0)))
+        if in_box and min(abs(x[1] - x[0]), abs(x[3] - x[2])) >= MIN_SEPARATION:
+            return m1, lams
+    p10, p11, p20, p21 = _extreme_profile(a)
+    return np.array([[1.0 - p10, 1.0 - p11], [p10, p11]]), np.array([p20, p21])
 
 
 def decompose_extreme(
@@ -410,35 +576,17 @@ def decompose_extreme(
 
     Minimizes ||A - M diag(p20, p21) M^{-1}||_F^2 over
     (p10, p11, p20, p21) in [0,1]^4 (M's columns are the Bernoulli vectors of
-    p10, p11), with |p10-p11| and |p20-p21| kept away from zero by a penalty.
-    Deterministic multi-start: a fixed 16-point lattice plus, when available,
-    the closed-form solution as a warm start. Downstream class shares and
-    third-question probabilities are clamped into [0,1] with clipped=true if
-    needed, so every output lies in [0,1].
+    p10, p11), with |p10-p11| and |p20-p21| at least MIN_SEPARATION.
+    When the closed-form eigendecomposition lies in that set the objective is
+    exactly zero there, and that point (unique up to the label swap) is
+    returned without a search. Otherwise `_extreme_profile` solves the inner
+    fit over (p20, p21) exactly and profiles (p10, p11) on a fixed grid
+    polished by Gauss-Newton. Downstream class shares and third-question
+    probabilities are clamped into [0,1] with clipped=true if needed, so every
+    output lies in [0,1].
     """
     mats = build_matrices(joint, x2_fix)
-    a = _transfer_matrix(mats)
-    obj = _extreme_objective(a)
-    bounds = [(0.0, 1.0)] * 4
-    starts = box_lattice(bounds, [[0.15, 0.45], [0.55, 0.85], [0.2, 0.6], [0.4, 0.8]])
-    try:
-        warm = decompose_closed_form(joint, x2_fix, ordering)
-        w_m1 = warm.pr_x_given_xstar[0, :]
-        w_p2 = warm.pr_x_given_xstar[1, :] if x2_fix == 1 else 1.0 - warm.pr_x_given_xstar[1, :]
-        starts = starts + [np.clip(np.array([w_m1[0], w_m1[1], w_p2[0], w_p2[1]]), 0.0, 1.0)]
-    except (DecompositionError, EstimationError):
-        pass
-    x, f, converged = multistart_nelder_mead(
-        obj, starts, bounds, xatol=1e-9, fatol=1e-15, maxiter=600
-    )
-    if not converged and f > 1e-6:
-        raise EstimationError(
-            f"extreme estimator failed to converge (objective {f:.3e}) after "
-            f"{len(starts)} deterministic starts"
-        )
-    p10, p11, p20, p21 = x
-    m1 = np.array([[1.0 - p10, 1.0 - p11], [p10, p11]])
-    lams = np.array([p20, p21])
+    m1, lams = _extreme_fit(_transfer_matrix(mats), x2_fix)
     return _finish(m1, lams, mats, x2_fix, ordering, Method.EXTREME)
 
 

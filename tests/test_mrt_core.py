@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from listmrt import mrt_core
 from listmrt.errors import (
     DecompositionError,
     DomainError,
@@ -10,6 +11,7 @@ from listmrt.errors import (
     NearDegenerateError,
 )
 from listmrt.mrt_core import (
+    MIN_SEPARATION,
     Method,
     MrtEstimate,
     MrtJoint,
@@ -348,6 +350,176 @@ class TestDecomposeExtreme:
             est = decompose_extreme(golden_joint(latent), 1, rule)
             assert abs(est.pr_xstar - truth.pr_xstar) < 1e-6
             assert np.abs(est.pr_x_given_xstar - truth.pr_x_given_xstar).max() < 1e-6
+
+
+def dirichlet_cells(count, n, seed):
+    """Count cubes of n respondents from Dirichlet(1,...,1) joints, skipping
+    draws whose (X1, X3) matrix is singular."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    while len(cells) < count:
+        counts = rng.multinomial(n, rng.dirichlet(np.ones(8))).reshape(2, 2, 2).astype(float)
+        m = counts.sum(axis=1)
+        if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) >= 1e-12 * n * n:
+            cells.append(counts)
+    return cells
+
+
+def transfer(counts):
+    joint = MrtJoint(z_cell=None, counts=counts, n_cell=float(counts.sum()))
+    return mrt_core._transfer_matrix(build_matrices(joint, 1))
+
+
+def assert_feasible(x):
+    assert x.min() >= 0.0 and x.max() <= 1.0
+    assert abs(x[1] - x[0]) >= MIN_SEPARATION
+    assert abs(x[3] - x[2]) >= MIN_SEPARATION
+
+
+class TestExtremeShortCircuit:
+    @pytest.mark.parametrize("x2_fix", [0, 1])
+    def test_exact_cell_skips_the_search(self, monkeypatch, x2_fix):
+        def no_search(a):
+            raise AssertionError("the profile search ran")
+
+        monkeypatch.setattr(mrt_core, "_extreme_profile", no_search)
+        rng = np.random.default_rng(11)
+        counts = rng.multinomial(2000, GOLDEN_Z1.joint_probs().ravel()).reshape(2, 2, 2)
+        for joint in (golden_joint(GOLDEN_Z0), MrtJoint(z_cell=None, counts=counts, n_cell=2000)):
+            cf = decompose_closed_form(joint, x2_fix)
+            ex = decompose_extreme(joint, x2_fix)
+            assert not cf.clipped and not ex.clipped
+            assert ex.method is Method.EXTREME
+            assert abs(ex.pr_xstar - cf.pr_xstar) <= 1e-15
+            assert np.abs(ex.pr_x_given_xstar - cf.pr_x_given_xstar).max() <= 1e-15
+            assert abs(ex.eigen_gap - cf.eigen_gap) <= 1e-15
+
+    def test_no_optimizer_imported(self):
+        assert not hasattr(mrt_core, "multistart_nelder_mead")
+        assert not any(
+            getattr(value, "__name__", "").startswith("scipy") for value in vars(mrt_core).values()
+        )
+
+
+def _brute_inner(a, p10, p11, n=801):
+    """Dense-grid minimum of the objective over (p20, p21) at fixed (p10, p11),
+    refined twice on finer local grids; the two separation lines are sampled
+    explicitly."""
+    grid = np.linspace(0.0, 1.0, n)
+    s, t = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
+    s = np.concatenate([s, grid, grid])
+    t = np.concatenate([t, grid + MIN_SEPARATION, grid - MIN_SEPARATION])
+    h = 1.0 / (n - 1)
+    for _ in range(3):
+        ok = (t >= 0.0) & (t <= 1.0) & (np.abs(t - s) >= MIN_SEPARATION)
+        s, t = s[ok], t[ok]
+        f = mrt_core._extreme_objective(a, p10, p11, s, t)
+        k = int(f.argmin())
+        best = (s[k], t[k], float(f[k]))
+        local = np.linspace(-2.0 * h, 2.0 * h, 201)
+        s, t = (g.ravel() for g in np.meshgrid(best[0] + local, best[1] + local, indexing="ij"))
+        s = np.clip(s, 0.0, 1.0)
+        h = 4.0 * h / 200
+    return best
+
+
+class TestExtremeInnerFit:
+    """The exact inner box solve against a dense-grid minimiser."""
+
+    def _fit(self, a, p10, p11):
+        f, p20, p21, _ = mrt_core._inner_fit(a, np.array([p10]), np.array([p11]))
+        return float(f[0]), float(p20[0]), float(p21[0])
+
+    def test_random_transfer_matrices(self):
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            a = 0.5 * np.eye(2) + 0.4 * rng.normal(size=(2, 2))
+            p10, p11 = np.sort(rng.uniform(size=2))
+            f, p20, p21 = self._fit(a, p10, p11)
+            s_ref, t_ref, f_ref = _brute_inner(a, p10, p11)
+            assert_feasible(np.array([p10, p11, p20, p21]))
+            assert f <= f_ref + 1e-12
+            np.testing.assert_allclose([p20, p21], [s_ref, t_ref], atol=1e-4)
+
+    @pytest.mark.parametrize(
+        "truth, clipped",
+        [
+            ((1.3, 0.4), (1.0, None)),  # edge p20 = 1
+            ((0.2, -0.5), (None, 0.0)),  # edge p21 = 0
+            ((-0.6, 1.7), (0.0, 1.0)),  # corner
+        ],
+    )
+    def test_optimum_clipped_at_a_bound(self, truth, clipped):
+        # The objective is zero at `truth`, which lies outside the box.
+        p10, p11 = 0.3, 0.7
+        a = truth[0] * np.eye(2) + (truth[1] - truth[0]) * mrt_core._projector(p10, p11)
+        f, p20, p21 = self._fit(a, p10, p11)
+        s_ref, t_ref, f_ref = _brute_inner(a, p10, p11)
+        assert f <= f_ref + 1e-12
+        assert f > 1e-12  # the bound binds
+        np.testing.assert_allclose([p20, p21], [s_ref, t_ref], atol=1e-4)
+        for value, bound in zip((p20, p21), clipped):
+            if bound is not None:
+                assert value == bound
+
+    def test_optimum_on_the_separation_floor(self):
+        # A = 0.4 I: the unconstrained fit has p20 = p21.
+        a = 0.4 * np.eye(2)
+        f, p20, p21 = self._fit(a, 0.3, 0.7)
+        s_ref, t_ref, f_ref = _brute_inner(a, 0.3, 0.7)
+        assert f <= f_ref + 1e-12
+        assert MIN_SEPARATION <= abs(p21 - p20) <= MIN_SEPARATION * (1.0 + 1e-9)
+        assert abs(0.5 * (p20 + p21) - 0.4) < 1e-6
+
+
+# Objective of the multi-start Nelder-Mead fit that the profile replaced, on
+# CLIP_COUNTS, FAR_OUT_COUNTS and dirichlet_cells(20, 60, 5), at x2_fix = 1.
+# That fit evaluated the objective entrywise, which is accurate only to about
+# 1e-11 near the separation floor.
+NELDER_MEAD_OBJECTIVE = [
+    0.00021079082124547368,
+    0.0014722035321383163,
+    1.0103863200632624e-05,
+    0.006135119623606921,
+    0.0544843373130191,
+    8.19832079990096e-21,
+    0.018795525494276794,
+    0.005515278344990935,
+    0.00020920176517019425,
+    0.00844722222222222,
+    0.07354726389932634,
+    1.4835704062796131,
+    0.05277197354842878,
+    1.1736186111316733,
+    0.004598308748371958,
+    7.703719777548943e-34,
+    0.03999999999999998,
+    9.802960544069274e-05,
+    0.029383808053179916,
+    4.4108746000915463e-20,
+    0.0028698979596836734,
+    1.0793051842975951e-20,
+]
+
+
+class TestExtremeProfile:
+    def test_never_worse_than_nelder_mead(self):
+        cells = [CLIP_COUNTS, FAR_OUT_COUNTS] + dirichlet_cells(20, 60, 5)
+        for counts, pinned in zip(cells, NELDER_MEAD_OBJECTIVE, strict=True):
+            a = transfer(counts)
+            m1, lams = mrt_core._extreme_fit(a, 1)
+            x = np.array([m1[1, 0], m1[1, 1], *lams])
+            assert_feasible(x)
+            assert float(mrt_core._extreme_objective(a, *x)) <= pinned + 1e-12
+
+    def test_profile_reaches_zero_on_exact_cells(self):
+        # Without the short-circuit the search still finds the exact fit.
+        for latent in (GOLDEN_Z0, GOLDEN_Z1):
+            a = transfer(golden_joint(latent).counts)
+            x = mrt_core._extreme_profile(a)
+            assert_feasible(x)
+            assert x[0] < x[1]
+            assert float(mrt_core._extreme_objective(a, *x)) < 1e-16
 
 
 class TestAggregateUnconditional:
