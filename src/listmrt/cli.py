@@ -30,7 +30,8 @@ Configuration may come from a flat ``key = value`` file (``--config``);
 explicit command-line flags override file values. Each key applies to the
 subcommands its RunConfig field names: only those register its flag, and a
 config file that sets it for any other subcommand is rejected with the
-number of its line. Every stochastic
+number of its line, and a key that the chosen simulate design or
+estimate-mrt covariate mode ignores must keep its default. Every stochastic
 subcommand requires a seed, and the resolved semantic configuration is
 hashed into the report so a run can be reproduced exactly.
 """
@@ -44,6 +45,7 @@ import dataclasses
 import datetime as _dt
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -153,8 +155,9 @@ def significance_marker(p_value: float) -> str:
     return "ok"
 
 
-def _verdict(p_value: float) -> str:
-    return "rejected" if p_value < 0.05 else "not rejected"
+def _test_cells(p_value: float) -> list:
+    """The p_value, marker and verdict cells of one test's row."""
+    return [p_value, significance_marker(p_value), "rejected" if p_value < 0.05 else "not rejected"]
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +314,8 @@ class RunConfig:
     defaults, the optional ``--config`` file, and explicit command-line flags
     (highest precedence). `config_hash` covers every semantic field, so two
     runs with equal hashes and seeds produce identical tables; a key that does
-    not apply to the subcommand cannot be set, so it always holds its default.
+    not apply to the subcommand, or that the chosen design or covariate mode
+    ignores, cannot be set, so it always holds its default.
     """
 
     subcommand: str
@@ -450,6 +454,12 @@ def _require(condition: bool, message: str) -> None:
         raise LoadError(message)
 
 
+def _require_default(cfg: RunConfig, keys: tuple, where: str) -> None:
+    """Reject each key set away from its default where its value would be ignored."""
+    for key in keys:
+        _require(getattr(cfg, key) == _KEYS[key].default, f"{key} does not apply to {where}")
+
+
 def _validate_config(cfg: RunConfig) -> None:
     for key, f in _KEYS.items():
         choices, value = f.metadata["choices"], getattr(cfg, key)
@@ -470,9 +480,10 @@ def _validate_config(cfg: RunConfig) -> None:
         if cfg.design == "le-null":
             _require(cfg.j_count is not None, "design le-null requires --j-count")
             _require(3 <= cfg.j_count <= 7, "le-null supports j_count between 3 and 7")
-            _require(cfg.sigma == 0.0, "sigma does not apply to le-null")
-        if cfg.design == "mrt-survey":
-            _require(cfg.sigma == 0.0, "sigma does not apply to mrt-survey")
+        else:
+            _require_default(cfg, ("j_count", "group_share"), cfg.design)
+        if cfg.design in ("le-null", "mrt-survey"):
+            _require_default(cfg, ("sigma", "correlation_scale"), cfg.design)
     elif sub in ("estimate-le", "test-le"):
         _require(cfg.input is not None, f"{sub} requires --input")
         _require(cfg.j_count is not None, f"{sub} requires --j-count")
@@ -517,30 +528,98 @@ def _validate_config(cfg: RunConfig) -> None:
 # CSV loading
 
 
-def _read_csv(path: str) -> tuple[list, list]:
-    """Header and data rows of a CSV file; every row padded-checked later."""
+def _integer(name: str, text: str, context: str = "") -> int:
+    if not _INT_RE.match(text):
+        raise ValueError(f"{name} must be an integer{context}, got {text!r}")
+    return int(text)
+
+
+def _binary(name: str, text: str) -> int:
+    if (value := _integer(name, text)) not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {value}")
+    return value
+
+
+def _finite(name: str, text: str) -> float:
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    except OSError as exc:
-        raise LoadError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise LoadError(f"{path}: file is empty (header row mandatory)")
-    header = [cell.strip() for cell in rows[0]]
-    return header, rows[1:]
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        raise ValueError(f"{name} must be a number, got {text!r}") from None
+    raise ValueError(f"{name} must be finite, got {text!r}")
 
 
-def _cell(row: list, index: int, column: str, rownum: int) -> str:
-    if index >= len(row):
-        raise LoadError(f"row {rownum}: missing value for {column}")
-    return row[index].strip()
+class _Columns:
+    """The data rows of a CSV file, read once and checked column by column.
 
+    Blank rows are skipped and not numbered. Checks record their first defective
+    row; `raise_first` reports the earliest, then its leftmost column.
+    """
 
-def _parse_int_cell(value: str, column: str, rownum: int) -> int:
-    if not _INT_RE.match(value):
-        raise LoadError(f"row {rownum}: {column} must be an integer, got {value!r}")
-    return int(value)
+    def __init__(self, path: str, required: tuple, optional: tuple = ()):
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as handle:
+                rows = [row for row in csv.reader(handle) if "".join(row).strip()]
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise LoadError(f"cannot read {path}: {exc}") from exc
+        if not rows:
+            raise LoadError(f"{path}: file is empty (header row mandatory)")
+        self.header = header = [cell.strip() for cell in rows.pop(0)]
+        for name in required:
+            if name not in header:
+                raise LoadError(f"{path}: missing required column {name!r}")
+        self.covariates = [name for name in header if name == "z" or name.startswith("z_")]
+        for k, name in enumerate(header):
+            if name not in (*required, *optional, *self.covariates):
+                raise LoadError(f"{path}: unexpected column {name!r}")
+            if name in header[:k]:
+                raise LoadError(f"{path}: duplicate column {name!r}")
+        if not rows:
+            raise LoadError(f"{path}: no data rows")
+        width = len(header)
+        self.defects: list = []  # (row index, column position, message)
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                extra = [cell.strip() for cell in row[width:] if cell.strip()]
+                if extra:
+                    self.defects.append((i, width, f"row {i + 1}: value {extra[0]!r} beyond the last column"))
+                rows[i] = row[:width] + [None] * (width - len(row))  # None: a missing cell
+        self.columns = dict(zip(header, zip(*rows)))
+
+    def parse(self, name: str, rule, rows=True) -> tuple[list, np.ndarray]:
+        """`rule(name, stripped text)` of each distinct cell text, and each row's index into them.
+
+        A missing or rejected (ValueError) text is -1; its first row among `rows` is a defect.
+        """
+        column = self.columns[name]
+        index = {text: k for k, text in enumerate(set(column))}
+        codes = np.fromiter(map(index.__getitem__, column), np.intp, len(column))
+        values, problems = [], {}
+        for text, k in index.items():
+            try:
+                if text is None:
+                    raise ValueError(f"missing value for {name}")
+                values.append(rule(name, text.strip()))
+            except ValueError as exc:
+                values.append(-1)
+                problems[k] = str(exc)
+        bad = np.isin(codes, list(problems)) & rows
+        self.flag(name, bad, problems.get(codes[bad.argmax()]))
+        return values, codes
+
+    def values(self, name: str, rule, rows=True) -> np.ndarray:
+        values, codes = self.parse(name, rule, rows)
+        return np.asarray(values)[codes]
+
+    def flag(self, name: str, bad: np.ndarray, message: str) -> None:
+        """Record the first row where `bad` holds as a defect of column `name`."""
+        if bad.any():
+            i = int(bad.argmax())
+            self.defects.append((i, self.header.index(name), f"row {i + 1}: {message}"))
+
+    def raise_first(self) -> None:
+        if self.defects:
+            raise LoadError(min(self.defects)[2])
 
 
 def load_le_csv(path: str, j_count: int) -> LeSample:
@@ -552,131 +631,70 @@ def load_le_csv(path: str, j_count: int) -> LeSample:
     Defective rows are rejected with their 1-based data-row number; rows are
     never imputed.
     """
-    header, rows = _read_csv(path)
-    for required in ("y", "t"):
-        if required not in header:
-            raise LoadError(f"{path}: missing required column {required!r}")
-    for name in header:
-        if name == "z" or name.startswith("z_"):
-            raise LoadError(
-                f"{path}: covariate column {name!r} is not supported for list experiments"
-            )
-        if name not in ("y", "t", "x_direct"):
-            raise LoadError(f"{path}: unexpected column {name!r}")
-    if not rows:
-        raise LoadError(f"{path}: no data rows")
-    idx = {name: header.index(name) for name in header}
-    has_direct = "x_direct" in header
+    def count(name: str, text: str) -> int:
+        if (value := _integer(name, text)) < 0:
+            raise ValueError(f"y must be nonnegative, got {value}")
+        return value
 
-    y_values, t_values, direct_values = [], [], []
-    for rownum, row in enumerate(rows, start=1):
-        y = _parse_int_cell(_cell(row, idx["y"], "y", rownum), "y", rownum)
-        t = _parse_int_cell(_cell(row, idx["t"], "t", rownum), "t", rownum)
-        if t not in (0, 1):
-            raise LoadError(f"row {rownum}: t must be 0 or 1, got {t}")
-        if y < 0:
-            raise LoadError(f"row {rownum}: y must be nonnegative, got {y}")
-        if t == 0 and y > j_count:
-            raise LoadError(f"row {rownum}: y exceeds J for control")
-        if t == 1 and y > j_count + 1:
-            raise LoadError(f"row {rownum}: y exceeds J+1 for treatment")
-        if has_direct:
-            raw = _cell(row, idx["x_direct"], "x_direct", rownum)
-            if t == 1:
-                if raw not in ("", "-1"):
-                    raise LoadError(f"row {rownum}: x_direct set on a treatment row")
-                direct_values.append(-1)
-            else:
-                if raw == "":
-                    raise LoadError(f"row {rownum}: missing value for x_direct")
-                direct = _parse_int_cell(raw, "x_direct", rownum)
-                if direct not in (0, 1):
-                    raise LoadError(f"row {rownum}: x_direct must be 0 or 1, got {direct}")
-                direct_values.append(direct)
-        y_values.append(y)
-        t_values.append(t)
+    def direct(name: str, text: str) -> int:
+        if text == "":
+            raise ValueError("missing value for x_direct")
+        return _binary(name, text)
 
-    t_arr = np.array(t_values, dtype=np.int64)
-    if not (t_arr == 0).any():
-        raise LoadError(f"{path}: control group is empty")
-    if not (t_arr == 1).any():
-        raise LoadError(f"{path}: treatment group is empty")
-    return LeSample(
-        j_count=j_count,
-        y=np.array(y_values, dtype=np.int64),
-        t=t_arr,
-        x_direct=np.array(direct_values, dtype=np.int64) if has_direct else None,
-    )
+    def not_asked(name: str, text: str) -> int:
+        if text not in ("", "-1"):
+            raise ValueError("x_direct set on a treatment row")
+        return -1
+
+    cols = _Columns(path, ("y", "t"), ("x_direct",))
+    if cols.covariates:
+        raise LoadError(f"{path}: covariate column {cols.covariates[0]!r} is not supported for list experiments")
+    t = cols.values("t", _binary)
+    y = cols.values("y", count)
+    cols.flag("y", (t == 0) & (y > j_count), "y exceeds J for control")
+    cols.flag("y", (t == 1) & (y > j_count + 1), "y exceeds J+1 for treatment")
+    x_direct = None
+    if "x_direct" in cols.columns:
+        x_direct = np.where(t == 1, -1, cols.values("x_direct", direct, rows=t == 0))
+        cols.parse("x_direct", not_asked, rows=t == 1)
+    cols.raise_first()
+    for code, group in enumerate(("control", "treatment")):
+        if not (t == code).any():
+            raise LoadError(f"{path}: {group} group is empty")
+    return LeSample(j_count=j_count, y=y, t=t, x_direct=x_direct)
 
 
 def _load_mrt(path: str, mode: str) -> tuple[str, object, list]:
     """Shared loader: returns (resolved mode, payload, z column names)."""
-    header, rows = _read_csv(path)
-    for required in ("x1", "x2", "x3"):
-        if required not in header:
-            raise LoadError(f"{path}: missing required column {required!r}")
-    z_names = [name for name in header if name == "z" or name.startswith("z_")]
-    known = {"x1", "x2", "x3", *z_names}
-    unexpected = [name for name in header if name not in known]
-    if unexpected:
-        raise LoadError(f"{path}: unexpected column {unexpected[0]!r}")
-    if not rows:
-        raise LoadError(f"{path}: no data rows")
-    idx = {name: header.index(name) for name in header}
-
-    raw_z: list = []
-    xs: list = []
-    for rownum, row in enumerate(rows, start=1):
-        bits = []
-        for name in ("x1", "x2", "x3"):
-            value = _parse_int_cell(_cell(row, idx[name], name, rownum), name, rownum)
-            if value not in (0, 1):
-                raise LoadError(f"row {rownum}: {name} must be 0 or 1, got {value}")
-            bits.append(value)
-        xs.append(bits)
-        raw_z.append([_cell(row, idx[name], name, rownum) for name in z_names])
-
-    if mode == "auto":
-        all_int = all(_INT_RE.match(value) for row in raw_z for value in row)
-        mode = "discrete" if all_int else "continuous"
-
-    xs_arr = np.array(xs, dtype=np.int64)
-    if mode == "discrete":
-        cells: dict = {}
-        for rownum, (bits, zrow) in enumerate(zip(xs, raw_z), start=1):
-            key = []
-            for name, value in zip(z_names, zrow):
-                if not _INT_RE.match(value):
-                    raise LoadError(
-                        f"row {rownum}: {name} must be an integer in discrete mode, got {value!r}"
-                    )
-                key.append(int(value))
-            counts = cells.setdefault(tuple(key), np.zeros((2, 2, 2)))
-            counts[bits[0], bits[1], bits[2]] += 1.0
-        joints = [
-            MrtJoint(z_cell=key, counts=counts, n_cell=float(counts.sum()))
-            for key, counts in sorted(cells.items())
-        ]
-        return "discrete", joints, z_names
-
-    z_floats = []
-    for rownum, zrow in enumerate(raw_z, start=1):
-        values = []
-        for name, value in zip(z_names, zrow):
-            try:
-                parsed = float(value)
-            except ValueError:
-                raise LoadError(f"row {rownum}: {name} must be a number, got {value!r}") from None
-            if not math.isfinite(parsed):
-                raise LoadError(f"row {rownum}: {name} must be finite, got {value!r}")
-            values.append(parsed)
-        z_floats.append(values)
-    if not z_names:
+    xnames = ("x1", "x2", "x3")
+    cols = _Columns(path, xnames)
+    z_names = cols.covariates
+    if mode == "continuous" and not z_names:
         raise LoadError(f"{path}: continuous mode requires at least one z column")
-    sample = MrtContinuousSample(
-        x1=xs_arr[:, 0], x2=xs_arr[:, 1], x3=xs_arr[:, 2], z=np.array(z_floats, dtype=float)
-    )
-    return "continuous", sample, z_names
+    xs = np.stack([cols.values(name, _binary) for name in xnames], axis=1)
+    if mode == "auto":
+        texts = (text for name in z_names for text in set(cols.columns[name]))
+        mode = "discrete" if all(text is None or _INT_RE.match(text.strip()) for text in texts) else "continuous"
+
+    if mode == "continuous":
+        z = np.stack([cols.values(name, _finite) for name in z_names], axis=1)
+        cols.raise_first()
+        return "continuous", MrtContinuousSample(x1=xs[:, 0], x2=xs[:, 1], x3=xs[:, 2], z=z), z_names
+
+    # Rank tuples sort as the (arbitrarily large) integer code tuples do.
+    levels, ranks = [], np.zeros((len(xs), len(z_names)), dtype=np.intp)
+    for col, name in enumerate(z_names):
+        values, codes = cols.parse(name, lambda name, text: _integer(name, text, " in discrete mode"))
+        level, rank = np.unique(np.array(values, dtype=object), return_inverse=True)
+        levels.append(level)
+        ranks[:, col] = rank[codes]
+    cols.raise_first()
+    cells, cell_of_row = np.unique(ranks, axis=0, return_inverse=True)
+    counts = np.bincount(8 * cell_of_row.reshape(-1) + xs @ [4, 2, 1], minlength=8 * len(cells))
+    return "discrete", [
+        MrtJoint(z_cell=tuple(level[r] for level, r in zip(levels, cell)), counts=count, n_cell=float(count.sum()))
+        for cell, count in zip(cells.tolist(), counts.reshape(-1, 2, 2, 2).astype(float))
+    ], z_names
 
 
 def load_mrt_csv(path: str, mode: str = "auto"):
@@ -730,10 +748,8 @@ def _expand_joints(joints: list) -> list:
     rows = []
     for joint in sorted(joints, key=lambda j: tuple(np.atleast_1d(j.z_cell))):
         z_part = [int(v) for v in np.atleast_1d(joint.z_cell)]
-        for i in (0, 1):
-            for j in (0, 1):
-                for k in (0, 1):
-                    rows.extend([[i, j, k, *z_part]] * int(round(joint.counts[i, j, k])))
+        for i, j, k in itertools.product((0, 1), repeat=3):
+            rows.extend([[i, j, k, *z_part]] * int(round(joint.counts[i, j, k])))
     return rows
 
 
@@ -938,9 +954,7 @@ def _cmd_test_le(cfg: RunConfig) -> Report:
             theta.p if spec is Spec.STRATEGIC else None,
             result.t_stat,
             result.dof,
-            result.p_value,
-            significance_marker(result.p_value),
-            _verdict(result.p_value),
+            *_test_cells(result.p_value),
         ])
     tests = Table(
         name="tests",
@@ -950,15 +964,8 @@ def _cmd_test_le(cfg: RunConfig) -> Report:
     if ridged:
         diagnostics["ridged"] = [f"weight matrix ridge-regularized for spec {n}" for n in ridged]
 
-    aux_rows = []
     ztest = control_mean_ztest(sample)
-    aux_rows.append([
-        "control_mean_equals_half_j",
-        ztest.statistic,
-        ztest.p_value,
-        significance_marker(ztest.p_value),
-        _verdict(ztest.p_value),
-    ])
+    aux_rows = [["control_mean_equals_half_j", ztest.statistic, *_test_cells(ztest.p_value)]]
     if sample.x_direct is not None:
         check = modified_le_check(sample, n_boot=cfg.n_boot, seed=cfg.seed)
         if check.gap_se > 0:
@@ -968,13 +975,7 @@ def _cmd_test_le(cfg: RunConfig) -> Report:
             z, p = 0.0, 1.0
         else:
             z, p = math.copysign(math.inf, check.gap), 0.0
-        aux_rows.append([
-            "modified_design_gap",
-            z,
-            p,
-            significance_marker(p),
-            _verdict(p),
-        ])
+        aux_rows.append(["modified_design_gap", z, *_test_cells(p)])
         diagnostics["modified_design"] = [
             f"mean_diff={_fmt(check.mean_diff)} direct_rate={_fmt(check.direct_rate)} "
             f"gap={_fmt(check.gap)} gap_se={_fmt(check.gap_se)}",
@@ -1005,14 +1006,8 @@ def _cmd_test_le(cfg: RunConfig) -> Report:
 
 
 def _marginal_joint(cells: list, label: str, selector) -> MrtJoint:
-    if selector is None:
-        keep = cells
-    else:
-        col, value = selector
-        keep = [c for c in cells if c.z_cell[col] == value]
-    counts = np.zeros((2, 2, 2))
-    for cell in keep:
-        counts = counts + cell.counts
+    keep = cells if selector is None else [c for c in cells if c.z_cell[selector[0]] == selector[1]]
+    counts = sum((cell.counts for cell in keep), np.zeros((2, 2, 2)))
     return MrtJoint(z_cell=label, counts=counts, n_cell=float(counts.sum()))
 
 
@@ -1045,7 +1040,10 @@ def _cmd_estimate_mrt(cfg: RunConfig) -> Report:
                 "n_boot does not apply to a continuous-covariate file: continuous mode "
                 "reports Hessian (observed-information) standard errors, not a bootstrap"
             )
+        discrete_only = ("x2_fix", "direct_question", "affirmative_is_truth_for", "bootstrap_estimator", "rank_n_boot")
+        _require_default(cfg, discrete_only, "continuous mode")
         return _estimate_mrt_continuous(cfg, payload, z_names)
+    _require_default(cfg, ("include_intercept",), "discrete mode")
     if cfg.n_boot is None:
         cfg.n_boot = 200
     return _estimate_mrt_discrete(cfg, payload, z_names)
@@ -1071,13 +1069,8 @@ def _estimate_mrt_continuous(cfg: RunConfig, sample: MrtContinuousSample, z_name
                 rows.append([label, float(value), UNAVAILABLE, UNAVAILABLE, UNAVAILABLE])
             else:
                 se = float(ses[i])
-                rows.append([
-                    label,
-                    float(value),
-                    se,
-                    float(value) - 1.959963984540054 * se,
-                    float(value) + 1.959963984540054 * se,
-                ])
+                half = 1.959963984540054 * se
+                rows.append([label, float(value), se, float(value) - half, float(value) + half])
     estimates = Table(
         name="estimates",
         columns=["parameter", "estimate", "se", "ci_low", "ci_high"],
@@ -1203,7 +1196,7 @@ def _estimate_mrt_discrete(cfg: RunConfig, cells: list, z_names: list) -> Report
                 p = one_sided_pvalue(
                     boot.estimates[:, param_index[param]], 0.0, Direction.GREATER
                 )
-                q_rows.append([label, param, p, significance_marker(p), _verdict(p)])
+                q_rows.append([label, param, *_test_cells(p)])
         tables.append(Table(
             name="q_tests",
             columns=["cell", "parameter", "p_value", "marker", "verdict"],

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -244,6 +245,132 @@ class TestLoadMrtCsv:
 
 
 # ---------------------------------------------------------------------------
+# One defect per file: the message and row of every loader check
+
+
+LE_DEFECTS = [
+    ("", "file is empty (header row mandatory)"),
+    ("y\n1\n", "missing required column 't'"),
+    ("t\n0\n", "missing required column 'y'"),
+    ("y,t,z\n0,0,1\n", "covariate column 'z' is not supported for list experiments"),
+    ("y,t,weight\n0,0,1\n", "unexpected column 'weight'"),
+    ("y,t,y\n0,0,1\n", "duplicate column 'y'"),
+    ("y,t\n", "no data rows"),
+    ("y,t\n0,0\n1.5,1\n", "row 2: y must be an integer, got '1.5'"),
+    ("y,t\n0,0\n,1\n", "row 2: y must be an integer, got ''"),
+    ("y,t\n-01,0\n1,1\n", "row 1: y must be nonnegative, got -1"),
+    ("y,t\n4,0\n1,1\n", "row 1: y exceeds J for control"),
+    ("y,t\n0,0\n5,1\n", "row 2: y exceeds J+1 for treatment"),
+    ("y,t\n0,0\n1,x\n", "row 2: t must be an integer, got 'x'"),
+    ("y,t\n0,0\n1,2\n", "row 2: t must be 0 or 1, got 2"),
+    ("y,t\n0,0\n1\n", "row 2: missing value for t"),
+    ("y,t\n0,0\n1,1,7\n", "row 2: value '7' beyond the last column"),
+    ("y,t,x_direct\n0,0,1\n1,1,1\n", "row 2: x_direct set on a treatment row"),
+    ("y,t,x_direct\n0,0,1\n1,1,x\n", "row 2: x_direct set on a treatment row"),
+    ("y,t,x_direct\n0,0,\n1,1,\n", "row 1: missing value for x_direct"),
+    ("y,t,x_direct\n0,0,1\n1,1\n", "row 2: missing value for x_direct"),
+    ("y,t,x_direct\n0,0,a\n1,1,\n", "row 1: x_direct must be an integer, got 'a'"),
+    ("y,t,x_direct\n0,0,-1\n1,1,\n", "row 1: x_direct must be 0 or 1, got -1"),
+    ("y,t\n1,1\n2,1\n", "control group is empty"),
+    ("y,t\n1,0\n", "treatment group is empty"),
+    # Blank rows are skipped and not numbered.
+    ("y,t\n\n0,0\n , \n5,1\n", "row 2: y exceeds J+1 for treatment"),
+]
+
+MRT_DEFECTS = [
+    ("", "auto", "file is empty (header row mandatory)"),
+    ("x1,x2\n0,1\n", "auto", "missing required column 'x3'"),
+    ("x1,x2,x3,w\n0,1,1,0\n", "auto", "unexpected column 'w'"),
+    ("x1,x2,x3,z,z\n0,1,1,0,5\n", "auto", "duplicate column 'z'"),
+    ("x1,x2,x3,x1\n0,1,1,0\n", "auto", "duplicate column 'x1'"),
+    ("x1,x2,x3\n", "auto", "no data rows"),
+    ("x1,x2,x3\n0,1,1\n0,a,1\n", "auto", "row 2: x2 must be an integer, got 'a'"),
+    ("x1,x2,x3\n0,2,1\n", "auto", "row 1: x2 must be 0 or 1, got 2"),
+    ("x1,x2,x3,z\n0,1,1,0\n0,1\n", "auto", "row 2: missing value for x3"),
+    ("x1,x2,x3,z\n0,1,1,0\n0,1,1\n", "auto", "row 2: missing value for z"),
+    ("x1,x2,x3,z\n0,1,1,0.5\n0,1,1\n", "auto", "row 2: missing value for z"),
+    ("x1,x2,x3,z\n0,1,1,0\n0,1,1,0,5\n", "auto", "row 2: value '5' beyond the last column"),
+    ("x1,x2,x3,z\n0,1,1,0\n0,1,1,0.25\n", "discrete", "row 2: z must be an integer in discrete mode, got '0.25'"),
+    ("x1,x2,x3,z\n0,1,1,0\n1,1,1,abc\n", "auto", "row 2: z must be a number, got 'abc'"),
+    ("x1,x2,x3,z\n0,1,1,0.5\n1,1,1,nan\n", "auto", "row 2: z must be finite, got 'nan'"),
+    ("x1,x2,x3\n1,0,1\n", "continuous", "continuous mode requires at least one z column"),
+]
+
+
+class TestLoaderDefects:
+    @pytest.mark.parametrize("text,message", LE_DEFECTS)
+    def test_list_experiment_defect(self, tmp_path, text, message):
+        path = write(tmp_path / "le.csv", text)
+        with pytest.raises(LoadError, match=f"(^|: ){re.escape(message)}$"):
+            load_le_csv(path, j_count=3)
+
+    @pytest.mark.parametrize("text,mode,message", MRT_DEFECTS)
+    def test_mrt_defect(self, tmp_path, text, mode, message):
+        path = write(tmp_path / "mrt.csv", text)
+        with pytest.raises(LoadError, match=f"(^|: ){re.escape(message)}$"):
+            load_mrt_csv(path, mode=mode)
+
+    def test_huge_count_is_compared_with_j(self, tmp_path):
+        path = write(tmp_path / "le.csv", "y,t\n99999999999999999999,0\n1,1\n")
+        with pytest.raises(LoadError, match="^row 1: y exceeds J for control$"):
+            load_le_csv(path, j_count=3)
+
+    def test_equal_integer_codes_share_a_cell(self, tmp_path):
+        path = write(
+            tmp_path / "mrt.csv",
+            "x1,x2,x3,z\n0,0,0,01\n0,0,1,+1\n0,1,0, 1\n1,1,1,0\n1,1,1,99999999999999999999\n1,0,0,-5\n",
+        )
+        cells = load_mrt_csv(path)
+        assert [c.z_cell for c in cells] == [(-5,), (0,), (1,), (99999999999999999999,)]
+        assert all(type(v) is int for c in cells for v in c.z_cell)
+        assert [c.n_cell for c in cells] == [1.0, 1.0, 3.0, 1.0]
+        expected = np.zeros((2, 2, 2))
+        expected[0, 0, 0] = expected[0, 0, 1] = expected[0, 1, 0] = 1.0
+        assert np.array_equal(cells[2].counts, expected)
+
+    def test_continuous_z_is_parsed_by_float(self, tmp_path):
+        path = write(tmp_path / "mrt.csv", "x1,x2,x3,z\n0,1,1,1_0\n1,0,0,-2.5e-1\n")
+        assert load_mrt_csv(path).z[:, 0].tolist() == [10.0, -0.25]
+        path = write(tmp_path / "inf.csv", "x1,x2,x3,z\n0,1,1,1\n1,0,0,inf\n")
+        with pytest.raises(LoadError, match="^row 2: z must be finite, got 'inf'$"):
+            load_mrt_csv(path)
+
+    def test_undecodable_file_is_a_load_error(self, tmp_path):
+        path = tmp_path / "mrt.csv"
+        path.write_bytes(b"x1,x2,x3,z\n0,1,1,\xff\n")
+        with pytest.raises(LoadError, match="^cannot read .*'utf-8' codec can't decode"):
+            load_mrt_csv(str(path))
+
+    def test_trailing_empty_cells_are_accepted(self, tmp_path):
+        path = write(tmp_path / "le.csv", "y,t\n0,0,\n4,1, ,\n")
+        assert load_le_csv(path, j_count=3).y.tolist() == [0, 4]
+        path = write(tmp_path / "mrt.csv", "x1,x2,x3,z\n0,1,1,2,\n")
+        assert load_mrt_csv(path)[0].z_cell == (2,)
+
+    @pytest.mark.parametrize("text,mode,message", [
+        # The earliest row wins, whatever its column ...
+        ("x1,x2,x3,z\n0,1,1,abc\n0,5,1,0\n", "discrete",
+         "row 1: z must be an integer in discrete mode, got 'abc'"),
+        ("x1,x2,x3,z\n0,1,1,0\n0,1,1\n1,7,1,0\n", "auto", "row 2: missing value for z"),
+        # ... and within a row, the leftmost column.
+        ("x1,x2,x3,z\n0,5,9,abc\n", "discrete", "row 1: x2 must be 0 or 1, got 5"),
+        ("x1,z,x2,x3\n0,abc,5,1\n", "discrete", "row 1: z must be an integer in discrete mode, got 'abc'"),
+    ])
+    def test_two_defects_report_earliest_row_then_leftmost_column(self, tmp_path, text, mode, message):
+        path = write(tmp_path / "mrt.csv", text)
+        with pytest.raises(LoadError, match=f"^{re.escape(message)}$"):
+            load_mrt_csv(path, mode=mode)
+
+    def test_two_list_experiment_defects_in_one_row(self, tmp_path):
+        path = write(tmp_path / "le.csv", "y,t\n-1,2\n1,1\n")
+        with pytest.raises(LoadError, match="^row 1: y must be nonnegative, got -1$"):
+            load_le_csv(path, j_count=3)
+        path = write(tmp_path / "tle.csv", "t,y\n2,-1\n1,1\n")
+        with pytest.raises(LoadError, match="^row 1: t must be 0 or 1, got 2$"):
+            load_le_csv(path, j_count=3)
+
+
+# ---------------------------------------------------------------------------
 # Configuration resolution
 
 
@@ -285,7 +412,7 @@ CONFIG_BASES = {
     "montecarlo": "design = discrete\nn = 100\nreps = 2\nseed = 1\n",
     "estimate-mrt": "input = x.csv\nseed = 1\n",
     "estimate-le": "input = x.csv\nj_count = 4\n",
-    "simulate": "design = mrt-discrete\nn = 100\nseed = 1\noutput = x.csv\n",
+    "simulate": "design = le-null\nj_count = 4\nn = 100\nseed = 1\noutput = x.csv\n",
 }
 
 
@@ -585,6 +712,32 @@ class TestSimulateCli:
         assert code == 1
         assert "sigma does not apply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("design,line,message", [
+        ("mrt-discrete", "j_count = 4", "j_count does not apply to mrt-discrete"),
+        ("mrt-continuous", "j_count = 4", "j_count does not apply to mrt-continuous"),
+        ("mrt-survey", "j_count = 4", "j_count does not apply to mrt-survey"),
+        ("mrt-discrete", "group_share = 0.4", "group_share does not apply to mrt-discrete"),
+        ("mrt-survey", "group_share = 0.4", "group_share does not apply to mrt-survey"),
+        ("le-null", "correlation_scale = realized", "correlation_scale does not apply to le-null"),
+        ("mrt-survey", "correlation_scale = realized", "correlation_scale does not apply to mrt-survey"),
+    ])
+    def test_key_the_design_ignores_is_rejected(self, tmp_path, design, line, message):
+        base = "j_count = 4\n" if design == "le-null" else ""
+        cfg_file = write(tmp_path / "run.cfg", f"{base}{line}\n")
+        with pytest.raises(LoadError, match=f"^{message}$"):
+            resolve("simulate", "--config", cfg_file, "--design", design, "--n", 10,
+                    "--seed", 1, "--output", tmp_path / "x.csv")
+
+    def test_keys_the_design_uses_are_accepted(self, tmp_path):
+        cfg_file = write(tmp_path / "run.cfg", "group_share = 0.4\nj_count = 4\n")
+        assert resolve("simulate", "--config", cfg_file, "--design", "le-null", "--n", 10,
+                       "--seed", 1, "--output", "x.csv").group_share == 0.4
+        cfg_file = write(tmp_path / "run.cfg", "correlation_scale = realized\nsigma = 0.2\n")
+        for design in ("mrt-discrete", "mrt-continuous"):
+            cfg = resolve("simulate", "--config", cfg_file, "--design", design, "--n", 10,
+                          "--seed", 1, "--output", "x.csv")
+            assert cfg.correlation_scale == "realized"
+
 
 # ---------------------------------------------------------------------------
 # test-le
@@ -877,6 +1030,26 @@ class TestEstimateMrtCli:
                        "--seed", 44, "--output", data) == 0
         cfg = resolve("estimate-mrt", "--input", data, "--seed", 1, "--n-boot", 200)
         with pytest.raises(LoadError, match="continuous mode reports Hessian"):
+            run_subcommand(cfg)
+
+    @pytest.mark.parametrize("line", [
+        "x2_fix = 0", "direct_question = 2", "affirmative_is_truth_for = 1",
+        "bootstrap_estimator = extreme", "rank_n_boot = 199",
+    ])
+    def test_continuous_file_rejects_discrete_only_keys(self, tmp_path, line):
+        data = tmp_path / "cont.csv"
+        assert run_cli("simulate", "--design", "mrt-continuous", "--n", 50,
+                       "--seed", 44, "--output", data) == 0
+        cfg_file = write(tmp_path / "run.cfg", f"{line}\n")
+        cfg = resolve("estimate-mrt", "--input", data, "--seed", 1, "--config", cfg_file)
+        key = line.split(" = ")[0]
+        with pytest.raises(LoadError, match=f"^{key} does not apply to continuous mode$"):
+            run_subcommand(cfg)
+
+    def test_discrete_file_rejects_intercept_key(self, mrt_discrete_file, tmp_path):
+        cfg_file = write(tmp_path / "run.cfg", "include_intercept = false\n")
+        cfg = resolve("estimate-mrt", "--input", mrt_discrete_file, "--seed", 1, "--config", cfg_file)
+        with pytest.raises(LoadError, match="^include_intercept does not apply to discrete mode$"):
             run_subcommand(cfg)
 
     def test_continuous_without_intercept_uses_plain_labels(self, tmp_path):
