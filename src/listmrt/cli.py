@@ -187,6 +187,49 @@ class Report:
         raise KeyError(name)
 
 
+def _report(cfg: RunConfig, tables: list, diagnostics: dict, **metadata) -> Report:
+    """A subcommand's report; the first table is the primary one.
+
+    Metadata starts with the provenance keys, then `metadata` in order;
+    diagnostics keep their order, and keys with an empty list are left out.
+    """
+    head = {
+        "tool": "listmrt",
+        "version": __version__,
+        "subcommand": cfg.subcommand,
+        "seed": cfg.seed,
+        "config_hash": _config_hash(cfg),
+        "created_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
+    }
+    kept = {key: lines for key, lines in diagnostics.items() if lines}
+    return Report(cfg.subcommand, {**head, **metadata}, tables, kept, tables[0].name)
+
+
+def _bootstrap(data, statistic, cfg: RunConfig, seed: int, diagnostics: dict, cell: str | None = None):
+    """The bootstrap of `statistic` with cfg.n_boot replicates, or None when it aborts.
+
+    Dropped replicates and an abort are recorded in `diagnostics`, prefixed
+    with the reported cell's label when there is one.
+    """
+    where = "" if cell is None else f"{cell}: "
+    try:
+        boot = bootstrap(data, statistic, BootstrapConfig(n_reps=cfg.n_boot, seed=seed))
+    except InferenceError as exc:
+        diagnostics.setdefault("bootstrap_unreliable", []).append(f"{where}{exc}")
+        return None
+    if boot.n_failed:
+        line = f"{where or 'bootstrap '}dropped {boot.n_failed} of {cfg.n_boot} replicates"
+        diagnostics.setdefault("dropped_replicates", []).append(line)
+    return boot
+
+
+def _boot_cells(boot, k: int) -> list:
+    """The se, ci_low and ci_high cells of bootstrap column k; unavailable without a bootstrap."""
+    if boot is None:
+        return [UNAVAILABLE] * 3
+    return [float(boot.se[k]), *(float(v) for v in boot.ci95[k])]
+
+
 def _fmt(value) -> str:
     """One cell for text/CSV output: floats at 6 significant digits."""
     if value is None:
@@ -795,97 +838,52 @@ def _cmd_simulate(cfg: RunConfig) -> Report:
             for i in range(sample.n)
         ]
     _write_csv(cfg.output, header, rows)
-    summary = Table(
-        name="summary",
-        columns=["key", "value"],
-        rows=[
-            ["design", cfg.design],
-            ["rows_written", len(rows)],
-            ["columns", " ".join(header)],
-            ["path", cfg.output],
-        ],
-    )
-    metadata = _base_metadata(cfg)
-    metadata["design"] = cfg.design
-    metadata["n"] = cfg.n
+    written = [["design", cfg.design], ["rows_written", len(rows)], ["columns", " ".join(header)]]
+    summary = Table("summary", ["key", "value"], [*written, ["path", cfg.output]])
+    scale = {}
     if cfg.design in ("mrt-discrete", "mrt-continuous"):
-        metadata["sigma"] = cfg.sigma
-        metadata["correlation_scale"] = cfg.correlation_scale
-    return Report(
-        subcommand="simulate",
-        metadata=metadata,
-        tables=[summary],
-        diagnostics={},
-        primary_table="summary",
-    )
+        scale = {"sigma": cfg.sigma, "correlation_scale": cfg.correlation_scale}
+    return _report(cfg, [summary], {}, design=cfg.design, n=cfg.n, **scale)
 
 
 # ---------------------------------------------------------------------------
 # estimate-le
 
-
-def _free_params(spec: Spec) -> tuple:
-    return {
-        Spec.UNRESTRICTED: ("delta", "p0", "p1"),
-        Spec.EQUAL_P: ("delta", "p0", "p1"),
-        Spec.NO_MISREPORT: ("delta",),
-        Spec.STRATEGIC: ("delta", "p"),
-    }[spec]
-
-
-def _le_vector(theta: LeParams, mean_diff: float) -> np.ndarray:
-    return np.array([theta.delta, theta.p0, theta.p1, theta.p, mean_diff])
-
-
-_LE_VECTOR_INDEX = {"delta": 0, "p0": 1, "p1": 2, "p": 3, "mean_difference": 4}
+# The parameters each specification reports, in the order of the report's columns.
+_LE_PARAMS = {
+    Spec.UNRESTRICTED: ("delta", "p0", "p1"),
+    Spec.EQUAL_P: ("delta", "p0", "p1"),
+    Spec.NO_MISREPORT: ("delta",),
+    Spec.STRATEGIC: ("delta", "p"),
+}
+_LE_COLUMNS = ("delta", "p0", "p1", "p")
 
 
 def _cmd_estimate_le(cfg: RunConfig) -> Report:
     sample = load_le_csv(cfg.input, cfg.j_count)
     spec = Spec(cfg.spec)
     moment_spec = MomentSpec(j_count=cfg.j_count, spec=spec)
+    params = _LE_PARAMS[spec]
     result = gmm_estimate(sample, moment_spec)
     mean_diff, mean_diff_se = mean_difference_empirical(sample)
-    diagnostics: dict = {}
-    if result.ridged:
-        diagnostics["ridged"] = ["gmm weight matrix was ridge-regularized"]
-    if not result.converged:
-        diagnostics["not_converged"] = ["gmm optimizer did not converge"]
+    diagnostics = {
+        "ridged": ["gmm weight matrix was ridge-regularized"] if result.ridged else [],
+        "not_converged": [] if result.converged else ["gmm optimizer did not converge"],
+    }
 
-    boot = None
-    if cfg.n_boot:
-        def statistic(resampled: LeSample) -> np.ndarray:
-            refit = gmm_estimate(resampled, moment_spec)
-            diff, _ = mean_difference_empirical(resampled)
-            return _le_vector(refit.theta_hat, diff)
+    def statistic(resampled: LeSample) -> list:
+        refit = gmm_estimate(resampled, moment_spec)
+        diff, _ = mean_difference_empirical(resampled)
+        return [*(getattr(refit.theta_hat, name) for name in params), diff]
 
-        try:
-            boot = bootstrap(
-                sample,
-                statistic,
-                BootstrapConfig(n_reps=cfg.n_boot, seed=cfg.seed),
-            )
-            if boot.n_failed:
-                diagnostics["dropped_replicates"] = [
-                    f"bootstrap dropped {boot.n_failed} of {cfg.n_boot} replicates"
-                ]
-        except InferenceError as exc:
-            diagnostics["bootstrap_unreliable"] = [str(exc)]
-
-    def estimate_row(parameter: str, value: float, se=None) -> list:
-        ci_low = ci_high = UNAVAILABLE
-        se_out = UNAVAILABLE if se is None else se
-        if boot is not None and parameter in _LE_VECTOR_INDEX:
-            k = _LE_VECTOR_INDEX[parameter]
-            se_out = float(boot.se[k])
-            ci_low, ci_high = (float(v) for v in boot.ci95[k])
-        return [parameter, value, se_out, ci_low, ci_high]
-
-    rows = [estimate_row(name, getattr(result.theta_hat, name)) for name in _free_params(spec)]
-    md_row = estimate_row("mean_difference", mean_diff)
-    if md_row[2] == UNAVAILABLE:
-        md_row[2] = mean_diff_se
-    rows.append(md_row)
+    boot = _bootstrap(sample, statistic, cfg, cfg.seed, diagnostics) if cfg.n_boot else None
+    values = [*(getattr(result.theta_hat, name) for name in params), mean_diff]
+    rows = [
+        [name, value, *_boot_cells(boot, k)]
+        for k, (name, value) in enumerate(zip((*params, "mean_difference"), values))
+    ]
+    if boot is None:
+        rows[-1][2] = mean_diff_se
 
     if cfg.j_count == 3:
         control, treatment, _, _ = empirical_distributions(sample)
@@ -894,36 +892,14 @@ def _cmd_estimate_le(cfg: RunConfig) -> Report:
             diagnostics["closed_form"] = [f"unidentified: {solved.reason}"]
         else:
             for name in ("delta", "p0", "p1"):
-                rows.append(
-                    [f"closed_form_{name}", getattr(solved, name), UNAVAILABLE, UNAVAILABLE, UNAVAILABLE]
-                )
+                rows.append([f"closed_form_{name}", getattr(solved, name), *[UNAVAILABLE] * 3])
 
-    estimates = Table(
-        name="estimates",
-        columns=["parameter", "estimate", "se", "ci_low", "ci_high"],
-        rows=rows,
-    )
-    fit = Table(
-        name="fit",
-        columns=["spec", "t_stat", "dof", "p_value", "marker", "converged"],
-        rows=[[
-            spec.value,
-            result.t_stat,
-            result.dof,
-            result.p_value,
-            significance_marker(result.p_value),
-            result.converged,
-        ]],
-    )
-    metadata = _base_metadata(cfg)
-    metadata.update({"n": sample.n, "j_count": cfg.j_count, "spec": spec.value, "n_boot": cfg.n_boot})
-    return Report(
-        subcommand="estimate-le",
-        metadata=metadata,
-        tables=[estimates, fit],
-        diagnostics=diagnostics,
-        primary_table="estimates",
-    )
+    estimates = Table("estimates", ["parameter", "estimate", "se", "ci_low", "ci_high"], rows)
+    fit_row = [spec.value, result.t_stat, result.dof, result.p_value, significance_marker(result.p_value)]
+    fit_columns = ["spec", "t_stat", "dof", "p_value", "marker", "converged"]
+    fit = Table("fit", fit_columns, [[*fit_row, result.converged]])
+    metadata = {"n": sample.n, "j_count": cfg.j_count, "spec": spec.value, "n_boot": cfg.n_boot}
+    return _report(cfg, [estimates, fit], diagnostics, **metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -937,32 +913,16 @@ def _cmd_test_le(cfg: RunConfig) -> Report:
             "test-le bootstraps the modified-design check on this file: --seed is required"
         )
     spec_names = _SPEC_NAMES if cfg.spec == "all" else (cfg.spec,)
-    diagnostics: dict = {}
-    rows = []
-    ridged = []
+    rows, ridged = [], []
     for name in spec_names:
         spec = Spec(name)
         result = j_test(sample, MomentSpec(j_count=cfg.j_count, spec=spec))
         if result.ridged:
-            ridged.append(name)
-        theta = result.theta_hat
-        rows.append([
-            name,
-            theta.delta,
-            theta.p0 if spec in (Spec.UNRESTRICTED, Spec.EQUAL_P) else None,
-            theta.p1 if spec in (Spec.UNRESTRICTED, Spec.EQUAL_P) else None,
-            theta.p if spec is Spec.STRATEGIC else None,
-            result.t_stat,
-            result.dof,
-            *_test_cells(result.p_value),
-        ])
-    tests = Table(
-        name="tests",
-        columns=["spec", "delta", "p0", "p1", "p", "t_stat", "dof", "p_value", "marker", "verdict"],
-        rows=rows,
-    )
-    if ridged:
-        diagnostics["ridged"] = [f"weight matrix ridge-regularized for spec {n}" for n in ridged]
+            ridged.append(f"weight matrix ridge-regularized for spec {name}")
+        theta = [getattr(result.theta_hat, p) if p in _LE_PARAMS[spec] else None for p in _LE_COLUMNS]
+        rows.append([name, *theta, result.t_stat, result.dof, *_test_cells(result.p_value)])
+    tests = Table("tests", ["spec", *_LE_COLUMNS, "t_stat", "dof", "p_value", "marker", "verdict"], rows)
+    diagnostics = {"ridged": ridged}
 
     ztest = control_mean_ztest(sample)
     aux_rows = [["control_mean_equals_half_j", ztest.statistic, *_test_cells(ztest.p_value)]]
@@ -981,43 +941,13 @@ def _cmd_test_le(cfg: RunConfig) -> Report:
             f"gap={_fmt(check.gap)} gap_se={_fmt(check.gap_se)}",
             check.caveat,
         ]
-    auxiliary = Table(
-        name="auxiliary_tests",
-        columns=["test", "statistic", "p_value", "marker", "verdict"],
-        rows=aux_rows,
-    )
-    metadata = _base_metadata(cfg)
-    metadata.update({
-        "n": sample.n,
-        "j_count": cfg.j_count,
-        "specs": " ".join(spec_names),
-    })
-    return Report(
-        subcommand="test-le",
-        metadata=metadata,
-        tables=[tests, auxiliary],
-        diagnostics=diagnostics,
-        primary_table="tests",
-    )
+    auxiliary = Table("auxiliary_tests", ["test", "statistic", "p_value", "marker", "verdict"], aux_rows)
+    specs = " ".join(spec_names)
+    return _report(cfg, [tests, auxiliary], diagnostics, n=sample.n, j_count=cfg.j_count, specs=specs)
 
 
 # ---------------------------------------------------------------------------
 # estimate-mrt
-
-
-def _marginal_joint(cells: list, label: str, selector) -> MrtJoint:
-    keep = cells if selector is None else [c for c in cells if c.z_cell[selector[0]] == selector[1]]
-    counts = sum((cell.counts for cell in keep), np.zeros((2, 2, 2)))
-    return MrtJoint(z_cell=label, counts=counts, n_cell=float(counts.sum()))
-
-
-def _estimation_groups(cells: list, z_names: list) -> list:
-    """(label, selector) pairs: the pooled sample plus one per covariate value."""
-    groups = [("overall", None)]
-    for col, name in enumerate(z_names):
-        for value in sorted({cell.z_cell[col] for cell in cells}):
-            groups.append((f"{name}={value}", (col, value)))
-    return groups
 
 
 def _mrt_vector(estimate, direct_question: int, affirmative: int) -> list:
@@ -1030,6 +960,10 @@ def _mrt_vector(estimate, direct_question: int, affirmative: int) -> list:
         m[2, 1], m[2, 0],
         rates["q1"], rates["q0"],
     ]
+
+
+def _decomposer(name: str):
+    return decompose_closed_form if name == "closed_form" else decompose_extreme
 
 
 def _cmd_estimate_mrt(cfg: RunConfig) -> Report:
@@ -1051,13 +985,11 @@ def _cmd_estimate_mrt(cfg: RunConfig) -> Report:
 
 def _estimate_mrt_continuous(cfg: RunConfig, sample: MrtContinuousSample, z_names: list) -> Report:
     fit = mle_fit(sample, ordering=cfg.ordering, include_intercept=cfg.include_intercept)
-    diagnostics: dict = {}
-    if not fit.converged:
-        diagnostics["not_converged"] = ["mle optimizer did not converge"]
-    if fit.small_sample:
-        diagnostics["small_sample"] = ["sample too small for reliable asymptotics"]
-    if fit.se is None:
-        diagnostics["se_unavailable"] = ["observed information was not invertible"]
+    diagnostics = {
+        "not_converged": [] if fit.converged else ["mle optimizer did not converge"],
+        "small_sample": ["sample too small for reliable asymptotics"] if fit.small_sample else [],
+        "se_unavailable": ["observed information was not invertible"] if fit.se is None else [],
+    }
     coef_names = (["intercept"] if cfg.include_intercept else []) + z_names
     rows = []
     for name in PARAM_ORDER:
@@ -1066,183 +998,85 @@ def _estimate_mrt_continuous(cfg: RunConfig, sample: MrtContinuousSample, z_name
         for i, value in enumerate(values):
             label = name if values.size == 1 else f"{name}[{coef_names[i]}]"
             if ses is None:
-                rows.append([label, float(value), UNAVAILABLE, UNAVAILABLE, UNAVAILABLE])
+                rows.append([label, float(value), *[UNAVAILABLE] * 3])
             else:
-                se = float(ses[i])
-                half = 1.959963984540054 * se
-                rows.append([label, float(value), se, float(value) - half, float(value) + half])
-    estimates = Table(
-        name="estimates",
-        columns=["parameter", "estimate", "se", "ci_low", "ci_high"],
-        rows=rows,
-    )
-    metadata = _base_metadata(cfg)
-    metadata.update({
-        "n": sample.n,
-        "mode": "continuous",
-        "loglik": fit.loglik,
-        "include_intercept": cfg.include_intercept,
-        "ordering": format_ordering(cfg.ordering),
-    })
-    return Report(
-        subcommand="estimate-mrt",
-        metadata=metadata,
-        tables=[estimates],
-        diagnostics=diagnostics,
-        primary_table="estimates",
+                half = 1.959963984540054 * float(ses[i])
+                rows.append([label, float(value), float(ses[i]), float(value) - half, float(value) + half])
+    estimates = Table("estimates", ["parameter", "estimate", "se", "ci_low", "ci_high"], rows)
+    return _report(
+        cfg, [estimates], diagnostics, n=sample.n, mode="continuous", loglik=fit.loglik,
+        include_intercept=cfg.include_intercept, ordering=format_ordering(cfg.ordering),
     )
 
 
 def _estimate_mrt_discrete(cfg: RunConfig, cells: list, z_names: list) -> Report:
-    groups = _estimation_groups(cells, z_names)
+    # The reported cells: the pooled sample, then one per value of each covariate.
+    groups = [("overall", None, cells)]
+    for col, name in enumerate(z_names):
+        for value in sorted({cell.z_cell[col] for cell in cells}):
+            groups.append((f"{name}={value}", col, [cell for cell in cells if cell.z_cell[col] == value]))
     n_total = sum(cell.n_cell for cell in cells)
-    diagnostics: dict = {}
-    clipped, failures, underpowered = [], [], []
+    chosen = cfg.bootstrap_estimator
+    keys = ("dropped_replicates", "bootstrap_unreliable", "clipped", "failed_cells", "rank_underpowered")
+    diagnostics: dict = {key: [] for key in keys}
 
-    rank_rows = []
-    points: dict = {}
-    group_joints: dict = {}
-    for index, (label, selector) in enumerate(groups):
-        joint = _marginal_joint(cells, label, selector)
-        group_joints[label] = joint
+    def vector(estimate) -> list:
+        return _mrt_vector(estimate, cfg.direct_question, cfg.affirmative_is_truth_for)
+
+    def statistic(joint: MrtJoint) -> list:
+        return vector(_decomposer(chosen)(joint, cfg.x2_fix, cfg.ordering))
+
+    est_rows, rank_rows, q_rows, parts = [], [], [], []
+    for index, (label, col, keep) in enumerate(groups):
+        counts = sum((cell.counts for cell in keep), np.zeros((2, 2, 2)))
+        joint = MrtJoint(z_cell=label, counts=counts, n_cell=float(counts.sum()))
+        n = int(joint.n_cell)
         rank = rank_test(joint, n_boot=cfg.rank_n_boot, seed=cfg.seed + 7919 * index)
         if rank.underpowered:
-            underpowered.append(label)
-        rank_rows.append([
-            label,
-            int(joint.n_cell),
-            rank.statistic,
-            rank.p_value,
-            significance_marker(rank.p_value),
-            "rank 2" if rank.reject_rank1 else "rank 1 not rejected",
-        ])
-        for est_name, decomposer in (("closed_form", decompose_closed_form), ("extreme", decompose_extreme)):
+            diagnostics["rank_underpowered"].append(label)
+        verdict = "rank 2" if rank.reject_rank1 else "rank 1 not rejected"
+        rank_rows.append([label, n, rank.statistic, rank.p_value, significance_marker(rank.p_value), verdict])
+        points = {}
+        for est_name in _MRT_ESTIMATORS:
             try:
-                estimate = decomposer(joint, cfg.x2_fix, cfg.ordering)
+                points[est_name] = estimate = _decomposer(est_name)(joint, cfg.x2_fix, cfg.ordering)
             except EstimationError as exc:
-                failures.append(f"{est_name}:{label}: {exc}")
+                diagnostics["failed_cells"].append(f"{est_name}:{label}: {exc}")
                 continue
             if estimate.clipped:
-                clipped.append(f"{est_name}:{label}")
-            points[est_name, label] = estimate
-
-    # Each reported cell is bootstrapped on its own (resampling its pooled
-    # 2x2x2 joint with n fixed), so a replicate that fails in one cell only
-    # costs that cell, never the whole report.
-    chosen = cfg.bootstrap_estimator
-    chosen_fn = decompose_closed_form if chosen == "closed_form" else decompose_extreme
-    boots: dict = {}
-    dropped, unreliable = [], []
-    if cfg.n_boot:
-        def statistic(joint: MrtJoint) -> np.ndarray:
-            estimate = chosen_fn(joint, cfg.x2_fix, cfg.ordering)
-            return np.array(_mrt_vector(estimate, cfg.direct_question, cfg.affirmative_is_truth_for))
-
-        for index, (label, _) in enumerate(groups):
-            if (chosen, label) not in points:
-                continue
-            try:
-                result = bootstrap(
-                    group_joints[label],
-                    statistic,
-                    BootstrapConfig(n_reps=cfg.n_boot, seed=cfg.seed + 104729 * index),
-                )
-            except InferenceError as exc:
-                unreliable.append(f"{label}: {exc}")
-                continue
-            boots[label] = result
-            if result.n_failed:
-                dropped.append(f"{label}: dropped {result.n_failed} of {cfg.n_boot} replicates")
-    if dropped:
-        diagnostics["dropped_replicates"] = dropped
-    if unreliable:
-        diagnostics["bootstrap_unreliable"] = unreliable
-
-    param_index = {param: k for k, param in enumerate(_MRT_PARAMS)}
-    est_rows = []
-    for label, _ in groups:
-        joint = group_joints[label]
-        for est_name in _MRT_ESTIMATORS:
-            estimate = points.get((est_name, label))
-            if estimate is None:
-                continue
-            vector = _mrt_vector(estimate, cfg.direct_question, cfg.affirmative_is_truth_for)
-            boot = boots.get(label) if est_name == chosen else None
-            for param, value in zip(_MRT_PARAMS, vector):
-                se = ci_low = ci_high = UNAVAILABLE
-                if boot is not None:
-                    k = param_index[param]
-                    se = float(boot.se[k])
-                    ci_low, ci_high = (float(v) for v in boot.ci95[k])
-                est_rows.append([label, int(joint.n_cell), est_name, param, value, se, ci_low, ci_high])
-    estimates = Table(
-        name="estimates",
-        columns=["cell", "n", "estimator", "parameter", "estimate", "se", "ci_low", "ci_high"],
-        rows=est_rows,
-    )
-
-    tables = [estimates, Table(
-        name="rank_tests",
-        columns=["cell", "n", "statistic", "p_value", "marker", "verdict"],
-        rows=rank_rows,
-    )]
-    if boots:
-        q_rows = []
-        for label, _ in groups:
-            boot = boots.get(label)
-            if boot is None:
-                continue
+                diagnostics["clipped"].append(f"{est_name}:{label}")
+        # Each reported cell is bootstrapped on its own (resampling its pooled
+        # 2x2x2 joint with n fixed), so a replicate that fails in one cell only
+        # costs that cell, never the whole report.
+        boot = None
+        if cfg.n_boot and chosen in points:
+            boot = _bootstrap(joint, statistic, cfg, cfg.seed + 104729 * index, diagnostics, label)
+        for est_name, estimate in points.items():
+            cell_boot = boot if est_name == chosen else None
+            for k, (param, value) in enumerate(zip(_MRT_PARAMS, vector(estimate))):
+                est_rows.append([label, n, est_name, param, value, *_boot_cells(cell_boot, k)])
+        if boot is not None:
             for param in ("q1", "q0"):
-                p = one_sided_pvalue(
-                    boot.estimates[:, param_index[param]], 0.0, Direction.GREATER
-                )
+                p = one_sided_pvalue(boot.estimates[:, _MRT_PARAMS.index(param)], 0.0, Direction.GREATER)
                 q_rows.append([label, param, *_test_cells(p)])
-        tables.append(Table(
-            name="q_tests",
-            columns=["cell", "parameter", "p_value", "marker", "verdict"],
-            rows=q_rows,
-        ))
+        if col == 0:
+            parts.append((points.get(chosen), joint.n_cell / n_total))
 
-    metadata = _base_metadata(cfg)
-    metadata.update({
-        "n": int(n_total),
-        "mode": "discrete",
-        "n_z_cells": len(cells),
-        "x2_fix": cfg.x2_fix,
-        "direct_question": cfg.direct_question,
-        "affirmative_is_truth_for": cfg.affirmative_is_truth_for,
-        "bootstrap_estimator": chosen,
-        "n_boot": cfg.n_boot,
-        "ordering": format_ordering(cfg.ordering),
-    })
-    if z_names:
-        partition = [
-            (label, selector) for label, selector in groups
-            if selector is not None and selector[0] == 0
-        ]
-        parts = []
-        for label, _ in partition:
-            estimate = points.get((chosen, label))
-            if estimate is None:
-                parts = []
-                break
-            parts.append((estimate, group_joints[label].n_cell / n_total))
-        if parts:
-            metadata["aggregate_partition"] = z_names[0]
-            metadata["aggregate_pr_xstar"] = aggregate_unconditional(parts)
-
-    if clipped:
-        diagnostics["clipped"] = clipped
-    if failures:
-        diagnostics["failed_cells"] = failures
-    if underpowered:
-        diagnostics["rank_underpowered"] = underpowered
-    return Report(
-        subcommand="estimate-mrt",
-        metadata=metadata,
-        tables=tables,
-        diagnostics=diagnostics,
-        primary_table="estimates",
+    estimate_columns = ["cell", "n", "estimator", "parameter", "estimate", "se", "ci_low", "ci_high"]
+    tables = [
+        Table("estimates", estimate_columns, est_rows),
+        Table("rank_tests", ["cell", "n", "statistic", "p_value", "marker", "verdict"], rank_rows),
+    ]
+    if q_rows:
+        tables.append(Table("q_tests", ["cell", "parameter", "p_value", "marker", "verdict"], q_rows))
+    # The first covariate partitions the sample, so its cells aggregate to Pr(X*=1).
+    aggregate = {}
+    if parts and all(estimate is not None for estimate, _ in parts):
+        aggregate = {"aggregate_partition": z_names[0], "aggregate_pr_xstar": aggregate_unconditional(parts)}
+    return _report(
+        cfg, tables, diagnostics, n=int(n_total), mode="discrete", n_z_cells=len(cells), x2_fix=cfg.x2_fix,
+        direct_question=cfg.direct_question, affirmative_is_truth_for=cfg.affirmative_is_truth_for,
+        bootstrap_estimator=chosen, n_boot=cfg.n_boot, ordering=format_ordering(cfg.ordering), **aggregate,
     )
 
 
@@ -1265,45 +1099,19 @@ def _cmd_montecarlo(cfg: RunConfig) -> Report:
     estimators = tuple(cfg.estimators.split(",")) if cfg.estimators else None
     rows = run_monte_carlo(design, estimators=estimators, n_jobs=cfg.jobs)
     table = Table(
-        name="results",
-        columns=["estimator", "parameter", "truth", "mean", "sd", "median", "n_failed"],
-        rows=[[r.estimator, r.parameter, r.truth, r.mean, r.sd, r.median, r.n_failed] for r in rows],
+        "results",
+        ["estimator", "parameter", "truth", "mean", "sd", "median", "n_failed"],
+        [[r.estimator, r.parameter, r.truth, r.mean, r.sd, r.median, r.n_failed] for r in rows],
     )
-    diagnostics: dict = {}
-    dropped = [f"{r.estimator}: {r.n_failed} of {cfg.reps} replicates failed" for r in rows if r.n_failed]
-    if dropped:
-        diagnostics["dropped_replicates"] = sorted(set(dropped))
-    metadata = _base_metadata(cfg)
-    metadata.update({
-        "design": cfg.design,
-        "n": cfg.n,
-        "reps": cfg.reps,
-        "sigma": cfg.sigma,
-        "correlation_scale": cfg.correlation_scale,
-        "jobs": cfg.jobs,
-    })
-    return Report(
-        subcommand="montecarlo",
-        metadata=metadata,
-        tables=[table],
-        diagnostics=diagnostics,
-        primary_table="results",
+    dropped = {f"{r.estimator}: {r.n_failed} of {cfg.reps} replicates failed" for r in rows if r.n_failed}
+    return _report(
+        cfg, [table], {"dropped_replicates": sorted(dropped)}, design=cfg.design, n=cfg.n, reps=cfg.reps,
+        sigma=cfg.sigma, correlation_scale=cfg.correlation_scale, jobs=cfg.jobs,
     )
 
 
 # ---------------------------------------------------------------------------
 # Dispatch and entry point
-
-
-def _base_metadata(cfg: RunConfig) -> dict:
-    return {
-        "tool": "listmrt",
-        "version": __version__,
-        "subcommand": cfg.subcommand,
-        "seed": cfg.seed,
-        "config_hash": _config_hash(cfg),
-        "created_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds"),
-    }
 
 
 _COMMANDS = {

@@ -1,6 +1,7 @@
 """End-to-end and unit tests for the command-line interface."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,6 +17,7 @@ import pytest
 from scipy import optimize
 
 import listmrt
+from listmrt import cli
 from listmrt import le_gmm
 from listmrt.cli import (
     MARKER_LEGEND,
@@ -41,8 +43,8 @@ from listmrt.cli import (
     run_subcommand,
     significance_marker,
 )
-from listmrt.errors import LoadError
-from listmrt.le_core import ControlDistribution, LeParams, Spec, le_forward
+from listmrt.errors import EstimationError, LoadError
+from listmrt.le_core import ControlDistribution, LeParams, Spec, Unidentified, le_forward
 from listmrt.mrt_core import MrtJoint, OrderingRule
 from listmrt.mrt_mle import MrtContinuousSample
 from listmrt.resampling import DISCRETE_TRUTH, simulate_discrete_design
@@ -1145,3 +1147,261 @@ class TestFormatIdentity:
         for json_row, csv_row in zip(primary["rows"], csv_rows[1:]):
             assert [_fmt(v) for v in json_row] == csv_row
         assert MARKER_LEGEND in text
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics: every key a subcommand can report, forced through the layer
+# the subcommand calls (looked up on the cli module at call time)
+
+
+def json_report(tmp_path, *args):
+    path = tmp_path / "report.json"
+    assert run_cli(*args, "--format", "json", "--output", path) == 0
+    return load_json_report(path)
+
+
+UNAVAILABLE_CELL = "unavailable"
+
+
+def rows_by(tab, *keys):
+    index = [tab["columns"].index(key) for key in keys]
+    return {tuple(row[i] for i in index): row for row in tab["rows"]}
+
+
+@pytest.fixture(scope="module")
+def j3_le_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ledata3") / "null3.csv"
+    assert run_cli("simulate", "--design", "le-null", "--j-count", 3,
+                   "--n", 1500, "--seed", 12, "--output", out) == 0
+    return out
+
+
+class TestEstimateLeDiagnostics:
+    def test_flagged_fit_dropped_replicates_and_unidentified_closed_form(self, j3_le_file, tmp_path, monkeypatch):
+        real = cli.gmm_estimate
+        calls = []
+
+        def gmm_estimate(sample, spec):
+            calls.append(spec)
+            if len(calls) == 1:  # the point fit, which the report flags
+                return dataclasses.replace(real(sample, spec), ridged=True, converged=False)
+            if len(calls) % 10 == 0:
+                raise EstimationError("forced replicate failure")
+            return real(sample, spec)
+
+        monkeypatch.setattr(cli, "gmm_estimate", gmm_estimate)
+        monkeypatch.setattr(cli, "solve_le_closed_form", lambda control, treatment: Unidentified("forced"))
+        report = json_report(tmp_path, "estimate-le", "--input", j3_le_file, "--j-count", 3,
+                             "--n-boot", 100, "--seed", 3)
+        assert len(calls) == 101
+        assert report["diagnostics"] == {
+            "ridged": ["gmm weight matrix was ridge-regularized"],
+            "not_converged": ["gmm optimizer did not converge"],
+            "dropped_replicates": ["bootstrap dropped 10 of 100 replicates"],
+            "closed_form": ["unidentified: forced"],
+        }
+        assert list(report["diagnostics"]) == ["ridged", "not_converged", "dropped_replicates", "closed_form"]
+        rows = table(report, "estimates")["rows"]
+        assert [row[0] for row in rows] == ["delta", "p0", "p1", "mean_difference"]
+        for row in rows:
+            assert all(isinstance(v, float) for v in row[2:]) and row[3] <= row[4]
+
+    def test_aborted_bootstrap_leaves_se_unavailable(self, null_le_file, tmp_path, monkeypatch):
+        real = cli.gmm_estimate
+        calls = []
+
+        def gmm_estimate(sample, spec):
+            calls.append(spec)
+            if len(calls) > 1:
+                raise EstimationError("forced replicate failure")
+            return real(sample, spec)
+
+        monkeypatch.setattr(cli, "gmm_estimate", gmm_estimate)
+        report = json_report(tmp_path, "estimate-le", "--input", null_le_file, "--j-count", 4,
+                             "--spec", "strategic", "--n-boot", 100, "--seed", 3)
+        assert report["diagnostics"] == {
+            "bootstrap_unreliable": [
+                "100/100 bootstrap replicates failed (> 20%); the estimator is unstable on this sample"
+            ],
+        }
+        rows = rows_by(table(report, "estimates"), "parameter")
+        assert list(rows) == [("delta",), ("p",), ("mean_difference",)]
+        assert rows[("delta",)][2:] == [UNAVAILABLE_CELL] * 3
+        assert rows[("p",)][2:] == [UNAVAILABLE_CELL] * 3
+        # Without a bootstrap the mean difference keeps its analytic se.
+        assert isinstance(rows[("mean_difference",)][2], float)
+        assert rows[("mean_difference",)][3:] == [UNAVAILABLE_CELL] * 2
+
+    def test_j3_closed_form_rows_have_no_se(self, j3_le_file, tmp_path):
+        report = json_report(tmp_path, "estimate-le", "--input", j3_le_file, "--j-count", 3)
+        assert report["diagnostics"] == {}
+        rows = rows_by(table(report, "estimates"), "parameter")
+        for name in ("delta", "p0", "p1"):
+            assert rows[(f"closed_form_{name}",)][2:] == [UNAVAILABLE_CELL] * 3
+
+
+class TestTestLeDiagnostics:
+    def test_ridged_specs_are_named(self, null_le_file, tmp_path, monkeypatch):
+        real = cli.j_test
+
+        def j_test(sample, spec):
+            result = real(sample, spec)
+            return dataclasses.replace(result, ridged=spec.spec in (Spec.EQUAL_P, Spec.STRATEGIC))
+
+        monkeypatch.setattr(cli, "j_test", j_test)
+        report = json_report(tmp_path, "test-le", "--input", null_le_file, "--j-count", 4,
+                             "--seed", 5, "--n-boot", 19)
+        assert list(report["diagnostics"]) == ["ridged", "modified_design"]
+        assert report["diagnostics"]["ridged"] == [
+            "weight matrix ridge-regularized for spec equal_p",
+            "weight matrix ridge-regularized for spec strategic",
+        ]
+        tests = table(report, "tests")
+        reported = {row[0]: [row[i] is not None for i in range(1, 5)] for row in tests["rows"]}
+        assert tests["columns"][1:5] == ["delta", "p0", "p1", "p"]
+        assert reported == {
+            "unrestricted": [True, True, True, False],
+            "equal_p": [True, True, True, False],
+            "no_misreport": [True, False, False, False],
+            "strategic": [True, False, False, True],
+        }
+
+
+class TestEstimateMrtDiagnostics:
+    def test_every_discrete_key_in_order(self, mrt_discrete_file, tmp_path, monkeypatch):
+        # The first reported cell raises the keys that are reported last, so
+        # the order cannot come from the order in which cells are visited.
+        real_cf, real_ext, real_rank = cli.decompose_closed_form, cli.decompose_extreme, cli.rank_test
+        calls: dict = {}
+
+        def decompose_closed_form(joint, x2_fix, ordering):
+            label = joint.z_cell
+            calls[label] = calls.get(label, 0) + 1
+            estimate = real_cf(joint, x2_fix, ordering)
+            if calls[label] == 1:  # the point fit of the cell
+                return dataclasses.replace(estimate, clipped=label == "overall")
+            if label == "z=0" or (label == "z=1" and calls[label] % 10 == 0):
+                raise EstimationError("forced replicate failure")
+            return estimate
+
+        def decompose_extreme(joint, x2_fix, ordering):
+            if joint.z_cell == "overall":
+                raise EstimationError("forced point failure")
+            return real_ext(joint, x2_fix, ordering)
+
+        def rank_test(joint, n_boot, seed):
+            result = real_rank(joint, n_boot=n_boot, seed=seed)
+            return dataclasses.replace(result, underpowered=joint.z_cell == "overall")
+
+        monkeypatch.setattr(cli, "decompose_closed_form", decompose_closed_form)
+        monkeypatch.setattr(cli, "decompose_extreme", decompose_extreme)
+        monkeypatch.setattr(cli, "rank_test", rank_test)
+        report = json_report(tmp_path, "estimate-mrt", "--input", mrt_discrete_file,
+                             "--seed", 4, "--n-boot", 100)
+        assert calls == {"overall": 101, "z=0": 101, "z=1": 101}
+        assert report["diagnostics"] == {
+            "dropped_replicates": ["z=1: dropped 10 of 100 replicates"],
+            "bootstrap_unreliable": [
+                "z=0: 100/100 bootstrap replicates failed (> 20%); the estimator is unstable on this sample"
+            ],
+            "clipped": ["closed_form:overall"],
+            "failed_cells": ["extreme:overall: forced point failure"],
+            "rank_underpowered": ["overall"],
+        }
+        assert list(report["diagnostics"]) == [
+            "dropped_replicates", "bootstrap_unreliable", "clipped", "failed_cells", "rank_underpowered"
+        ]
+        estimates = table(report, "estimates")
+        cells = rows_by(estimates, "cell", "estimator", "parameter")
+        assert {(cell, est) for cell, est, _ in cells} == {
+            ("overall", "closed_form"), ("z=0", "closed_form"), ("z=0", "extreme"),
+            ("z=1", "closed_form"), ("z=1", "extreme"),
+        }
+        se = estimates["columns"].index("se")
+        assert isinstance(cells[("overall", "closed_form", "q1")][se], float)
+        assert cells[("z=0", "closed_form", "q1")][se] == UNAVAILABLE_CELL
+        assert isinstance(cells[("z=1", "closed_form", "q1")][se], float)
+        assert cells[("z=1", "extreme", "q1")][se] == UNAVAILABLE_CELL
+        q_cells = [row[0] for row in table(report, "q_tests")["rows"]]
+        assert q_cells == ["overall", "overall", "z=1", "z=1"]
+        assert report["metadata"]["aggregate_partition"] == "z"
+
+    def test_failed_partition_cell_drops_the_aggregate(self, mrt_discrete_file, tmp_path, monkeypatch):
+        real = cli.decompose_closed_form
+
+        def decompose_closed_form(joint, x2_fix, ordering):
+            if joint.z_cell == "z=1":
+                raise EstimationError("forced failure")
+            return real(joint, x2_fix, ordering)
+
+        monkeypatch.setattr(cli, "decompose_closed_form", decompose_closed_form)
+        report = json_report(tmp_path, "estimate-mrt", "--input", mrt_discrete_file,
+                             "--seed", 4, "--n-boot", 0)
+        assert report["diagnostics"] == {"failed_cells": ["closed_form:z=1: forced failure"]}
+        assert "aggregate_pr_xstar" not in report["metadata"]
+        assert [tab["name"] for tab in report["tables"]] == ["estimates", "rank_tests"]
+        se = table(report, "estimates")["columns"].index("se")
+        assert {row[se] for row in table(report, "estimates")["rows"]} == {UNAVAILABLE_CELL}
+
+    def test_continuous_keys_in_order(self, tmp_path, monkeypatch):
+        data = tmp_path / "cont.csv"
+        assert run_cli("simulate", "--design", "mrt-continuous", "--n", 300,
+                       "--seed", 44, "--output", data) == 0
+        real = cli.mle_fit
+
+        def mle_fit(sample, **kwargs):
+            fit = real(sample, **kwargs)
+            return dataclasses.replace(fit, converged=False, small_sample=True, se=None)
+
+        monkeypatch.setattr(cli, "mle_fit", mle_fit)
+        report = json_report(tmp_path, "estimate-mrt", "--input", data, "--seed", 1)
+        assert report["diagnostics"] == {
+            "not_converged": ["mle optimizer did not converge"],
+            "small_sample": ["sample too small for reliable asymptotics"],
+            "se_unavailable": ["observed information was not invertible"],
+        }
+        assert list(report["diagnostics"]) == ["not_converged", "small_sample", "se_unavailable"]
+        for row in table(report, "estimates")["rows"]:
+            assert row[2:] == [UNAVAILABLE_CELL] * 3
+
+
+# ---------------------------------------------------------------------------
+# The report contract of every subcommand
+
+
+PROVENANCE = ["tool", "version", "subcommand", "seed", "config_hash", "created_utc"]
+
+
+class TestReportContract:
+    @pytest.fixture(scope="class")
+    def reports(self, null_le_file, mrt_discrete_file, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("contract")
+        runs = {
+            "simulate": ["simulate", "--design", "mrt-discrete", "--n", 200, "--seed", 1,
+                         "--output", tmp / "sim.csv"],
+            "estimate-le": ["estimate-le", "--input", null_le_file, "--j-count", 4],
+            "test-le": ["test-le", "--input", null_le_file, "--j-count", 4, "--seed", 2, "--n-boot", 19],
+            "estimate-mrt": ["estimate-mrt", "--input", mrt_discrete_file, "--seed", 3, "--n-boot", 0],
+            "montecarlo": ["montecarlo", "--design", "discrete", "--n", 400, "--reps", 2, "--seed", 4],
+        }
+        out = {}
+        for name, argv in runs.items():
+            args = build_parser().parse_args([str(a) for a in argv])
+            out[name] = run_subcommand(_resolve_config(args))
+        return out
+
+    def test_every_subcommand_is_covered(self, reports):
+        assert set(reports) == set(_COMMANDS)
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_contract(self, reports, name):
+        report = reports[name]
+        assert report.primary_table == report.tables[0].name
+        assert report.subcommand == report.metadata["subcommand"] == name
+        assert list(report.metadata)[:6] == PROVENANCE
+        assert all(lines for lines in report.diagnostics.values())
+        payload = json.loads(render_json(report))
+        assert payload["primary_table"] == payload["tables"][0]["name"]
+        assert list(payload["metadata"])[:6] == PROVENANCE
+        assert list(csv.reader(io.StringIO(render_csv(report))))[0] == report.tables[0].columns
+
