@@ -298,7 +298,10 @@ def gmm_estimate(
             for start in (_starts(kind) if x0 is None else [x0])
         ]
         best = min(solves, key=lambda res: res.cost)
-        return best.x, float(np.sum(best.fun ** 2)), bool(best.success)
+        # The trust-region solver stops strictly inside the box, down to a
+        # denormal, so a coordinate it reports on an active bound is set to it.
+        x = np.where(best.active_mask < 0, 0.0, np.where(best.active_mask > 0, _PARAM_HI, best.x))
+        return x, float(np.sum(resid(x) ** 2)), bool(best.success)
 
     x1, _, conv1 = fit(slice(None), np.eye(j + 2))
     theta1 = _unpack(x1, kind)

@@ -1405,3 +1405,17 @@ class TestReportContract:
         assert list(payload["metadata"])[:6] == PROVENANCE
         assert list(csv.reader(io.StringIO(render_csv(report))))[0] == report.tables[0].columns
 
+
+class TestEstimateOnBound:
+    def test_estimate_on_bound_is_exact_and_inside_its_ci(self, tmp_path):
+        # On this sample the fit of p0 sits on the lower bound; the solver
+        # alone stops a denormal above it, below the bootstrap CI.
+        data = tmp_path / "le.csv"
+        assert run_cli("simulate", "--design", "le-null", "--j-count", 4, "--n", 2000,
+                       "--seed", 209001, "--output", data) == 0
+        report = json_report(tmp_path, "estimate-le", "--input", data, "--j-count", 4,
+                             "--spec", "unrestricted", "--n-boot", 100, "--seed", 209001)
+        rows = rows_by(table(report, "estimates"), "parameter")
+        assert rows[("p0",)][1] == 0.0
+        for name, estimate, se, ci_low, ci_high in rows.values():
+            assert ci_low <= estimate <= ci_high, name
